@@ -246,7 +246,7 @@ pub fn greedy_pk_cluster_budgeted<O: SearchObserver>(
     budget: &SearchBudget,
     observer: &O,
 ) -> Result<GreedyClusterOutcome, ClusterError> {
-    let table = initial.drop_identifiers();
+    let table = initial.clone().drop_identifiers();
     let keys = table.schema().key_indices();
     let confidential = table.schema().confidential_indices();
     let n = table.n_rows();

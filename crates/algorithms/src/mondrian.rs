@@ -83,7 +83,7 @@ pub fn mondrian_anonymize_budgeted<O: SearchObserver>(
     budget: &SearchBudget,
     observer: &O,
 ) -> Result<MondrianOutcome, psens_microdata::Error> {
-    let table = initial.drop_identifiers();
+    let table = initial.clone().drop_identifiers();
     let keys = table.schema().key_indices();
     let confidential = table.schema().confidential_indices();
 

@@ -333,7 +333,7 @@ fn search<O: SearchObserver>(
     let state = budget.start();
     let mut low = 0usize;
     let mut high = lattice.height();
-    let mut best: Option<(Node, Table, usize)> = None;
+    let mut best: Option<ProbeHit> = None;
 
     // Monotonicity makes "some node at height h satisfies" monotone in h, so
     // binary search converges on the minimal satisfiable height. Invariant:
@@ -345,7 +345,6 @@ fn search<O: SearchObserver>(
             stats.heights_probed.push(try_height);
             observer.height_entered(try_height);
             let found = probe_height(
-                &ctx,
                 &ectx,
                 &mut eval,
                 &lattice,
@@ -358,8 +357,8 @@ fn search<O: SearchObserver>(
             )?;
             match found {
                 ControlFlow::Break(_) => break 'search,
-                ControlFlow::Continue(Some(hit)) => {
-                    best = Some(hit);
+                ControlFlow::Continue(Some(node)) => {
+                    best = Some(materialize(&ctx, node, best, &check_stats, observer)?);
                     high = try_height;
                 }
                 ControlFlow::Continue(None) => low = try_height + 1,
@@ -372,7 +371,6 @@ fn search<O: SearchObserver>(
             stats.heights_probed.push(low);
             observer.height_entered(low);
             match probe_height(
-                &ctx,
                 &ectx,
                 &mut eval,
                 &lattice,
@@ -384,7 +382,9 @@ fn search<O: SearchObserver>(
                 observer,
             )? {
                 ControlFlow::Break(_) => break 'search,
-                ControlFlow::Continue(Some(hit)) => best = Some(hit),
+                ControlFlow::Continue(Some(node)) => {
+                    best = Some(materialize(&ctx, node, best, &check_stats, observer)?);
+                }
                 // A complete failed probe at `low` rules that height out too
                 // (here `low == lattice.height()`: proven unsatisfiable).
                 ControlFlow::Continue(None) => low += 1,
@@ -416,17 +416,31 @@ fn search<O: SearchObserver>(
 /// tuple count.
 type ProbeHit = (Node, Table, usize);
 
-/// Evaluates the nodes of one lattice stratum; returns the first satisfier,
-/// materializing its masked table (candidates that fail cost no tables).
-/// Breaks as soon as the budget refuses a node admission — an interrupted
-/// probe proves nothing about its height.
+/// Materializes a probe's satisfying node as the new best hit. The
+/// previous best (a higher node) is dropped first, so two masked copies of
+/// a large table are never alive at once.
+fn materialize<O: SearchObserver>(
+    ctx: &MaskingContext<'_>,
+    node: Node,
+    previous: Option<ProbeHit>,
+    check_stats: &ConfidentialStats,
+    observer: &O,
+) -> Result<ProbeHit, psens_hierarchy::Error> {
+    drop(previous);
+    let outcome = ctx.evaluate_observed(&node, check_stats, observer)?;
+    Ok((node, outcome.masked, outcome.suppressed))
+}
+
+/// Evaluates the nodes of one lattice stratum; returns the first satisfier
+/// (candidates run through the kernel and cost no tables). Breaks as soon
+/// as the budget refuses a node admission — an interrupted probe proves
+/// nothing about its height.
 ///
 /// With `tuning.threads > 1` the stratum is chunked across scoped workers;
 /// serial and parallel probes return the same node (the lowest-index
 /// satisfier), the serial path keeping its historical stats bit-for-bit.
 #[allow(clippy::too_many_arguments)]
 fn probe_height<O: SearchObserver>(
-    ctx: &MaskingContext<'_>,
     ectx: &EvalContext,
     eval: &mut NodeEvaluator<'_>,
     lattice: &Lattice,
@@ -436,7 +450,7 @@ fn probe_height<O: SearchObserver>(
     tuning: Tuning<'_>,
     stats: &mut SearchStats,
     observer: &O,
-) -> Result<ControlFlow<Termination, Option<ProbeHit>>, psens_hierarchy::Error> {
+) -> Result<ControlFlow<Termination, Option<Node>>, psens_hierarchy::Error> {
     let nodes = lattice.nodes_at_height(height);
     if tuning.effective_threads() == 1 {
         for node in nodes {
@@ -447,34 +461,20 @@ fn probe_height<O: SearchObserver>(
                 };
             stats.record_cached(&cc);
             if cc.satisfied {
-                let outcome = ctx.evaluate_observed(&node, check_stats, observer)?;
-                return Ok(ControlFlow::Continue(Some((
-                    node,
-                    outcome.masked,
-                    outcome.suppressed,
-                ))));
+                return Ok(ControlFlow::Continue(Some(node)));
             }
         }
         return Ok(ControlFlow::Continue(None));
     }
 
-    let winner =
+    Ok(
         match probe_stratum_parallel(ectx, &nodes, check_stats, state, tuning, stats, observer)? {
-            ControlFlow::Break(cause) => return Ok(ControlFlow::Break(cause)),
-            ControlFlow::Continue(winner) => winner,
-        };
-    match winner {
-        Some(ix) => {
-            let node = nodes[ix].clone();
-            let outcome = ctx.evaluate_observed(&node, check_stats, observer)?;
-            Ok(ControlFlow::Continue(Some((
-                node,
-                outcome.masked,
-                outcome.suppressed,
-            ))))
-        }
-        None => Ok(ControlFlow::Continue(None)),
-    }
+            ControlFlow::Break(cause) => ControlFlow::Break(cause),
+            ControlFlow::Continue(winner) => {
+                ControlFlow::Continue(winner.map(|ix| nodes[ix].clone()))
+            }
+        },
+    )
 }
 
 /// Chunk-level result of a parallel probe worker: the chunk's first

@@ -13,8 +13,8 @@ use psens_microdata::resolve_threads;
 /// Knobs for the `*_tuned` search entry points.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning<'a> {
-    /// Worker threads for per-stratum evaluation and the chunked partition
-    /// kernel. `1` means serial (the historical code path, bit-identical
+    /// Worker threads for per-stratum evaluation and the morsel-parallel
+    /// partition kernel. `1` means serial (the historical code path, bit-identical
     /// stats); `0` means one worker per available core
     /// ([`std::thread::available_parallelism`], the same convention as the
     /// CLI's `--threads 0`); with more threads each lattice stratum is
@@ -25,11 +25,12 @@ pub struct Tuning<'a> {
     /// same `(table, QI space, p, k, ts)` configuration; sharing one store
     /// across runs (or across strategies) is what makes verdicts reusable.
     pub cache: Option<&'a VerdictStore>,
-    /// Rows per chunk for the evaluator's chunk-parallel partition kernel.
-    /// `0` (the default) keeps the serial kernel; any other value makes
-    /// every node check partition in chunks of this many rows across the
-    /// same `threads` workers. Verdicts are identical either way — the
-    /// chunked merge reproduces the serial group ids exactly.
+    /// Rows per morsel for the evaluator's morsel-parallel partition
+    /// kernel. `0` (the default) keeps the serial kernel; any other value
+    /// makes every node check partition the table in row ranges of this
+    /// many rows across the same `threads` workers. Verdicts are identical
+    /// either way — the executor's canonical pass reproduces the serial
+    /// group ids exactly.
     pub chunk_rows: usize,
 }
 
@@ -50,7 +51,7 @@ impl<'a> Tuning<'a> {
         resolve_threads(self.threads).max(1)
     }
 
-    /// Applies the chunked-partition setting to a freshly built evaluator
+    /// Applies the morsel-partition setting to a freshly built evaluator
     /// context. With `chunk_rows == 0` the context is returned untouched,
     /// preserving the historical serial kernel.
     pub fn configure(&self, ectx: EvalContext) -> EvalContext {

@@ -2,8 +2,8 @@
 //!
 //! Experiment harness: one function per table/figure of the paper, each
 //! returning the regenerated artifact as text. The `experiments` binary
-//! prints them all; the Criterion benches (in `benches/`) measure the same
-//! workloads. EXPERIMENTS.md records paper-vs-measured for every section.
+//! prints them all. EXPERIMENTS.md records paper-vs-measured for every
+//! section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,14 +9,14 @@ use psens_algorithms::{RunReport, SearchStats, TerminationReport, Tuning};
 use psens_core::conditions::{ConfidentialStats, MaxGroups};
 use psens_core::VerdictStore;
 use psens_core::{
-    check_p_sensitivity, check_p_sensitivity_chunked, check_table_model, max_k, max_k_chunked,
-    max_p_of_masked, max_p_of_masked_chunked, CheckStage, ModelSpec, SearchBudget, SearchObserver,
-    Termination,
+    check_p_sensitivity, check_table_model, max_k, max_p_of_masked, CheckStage, ModelSpec,
+    SearchBudget, SearchObserver, Termination,
 };
 use psens_datasets::Spec;
 use psens_datasets::{AdultGenerator, ScaleGenerator};
 use psens_metrics::{attribute_risk, identity_risk};
-use psens_microdata::{csv, ChunkedTable, JsonValue, Table};
+use psens_microdata::{csv, JsonValue, Schema, Table};
+use std::io::{BufReader, BufWriter, Write};
 use std::time::{Duration, Instant};
 
 /// Exit code for a run whose *verdict* is negative (property violated,
@@ -63,7 +63,7 @@ USAGE:
 COMMANDS:
   generate   Generate synthetic microdata
              --rows N [--seed S] --out FILE.csv
-             [--profile adult|scale] [--chunk-rows N]
+             [--profile adult|scale]
              [--deltas N --deltas-out FILE.jsonl [--final-out FILE.csv]]
              profile `scale` drops the identifier/weight columns and
              streams to disk chunk by chunk: bounded memory at any --rows
@@ -77,12 +77,10 @@ COMMANDS:
              [--model psens-k|distinct-l|entropy-l|t-closeness]
              [--p P] [--l L] [--t T]  (--p for psens-k, --l for the
              l-diversity models, --t in [0,1] for t-closeness)
-             [--chunk-rows N] [--threads N]
              [--report FILE.json] [--verbose]
              exits 2 when the property is violated
   analyze    Print frequency statistics, condition bounds, and risks
              --spec SPEC.json --input FILE.csv [--p P]
-             [--chunk-rows N] [--threads N]
              [--report FILE.json] [--verbose]
              exits 2 when Condition 1 makes the requested p unsatisfiable
   anonymize  Produce a masked release
@@ -90,7 +88,7 @@ COMMANDS:
              [--k K] [--model NAME] [--p P] [--l L] [--t T] [--ts N]
              [--algorithm samarati|mondrian|pram]
              [--timeout SECS] [--max-nodes N] [--seed S]
-             [--threads N] [--chunk-rows N] [--no-cache]
+             [--threads N] [--no-cache]
              [--report FILE.json] [--verbose]
              `pram` fixes the QI at the k-minimal node and repairs
              confidential cells by post-randomisation (--seed) instead of
@@ -103,7 +101,7 @@ COMMANDS:
              --node L1,L2,... --identifier NAME
   query      Run a SQL statement against a CSV file (table name: data)
              --input FILE.csv --sql STATEMENT [--spec SPEC.json]
-             [--chunk-rows N] (chunked ingest needs --spec)
+             (without --spec, column kinds are inferred from the data)
   client     Send one request to a running psens-server
              --addr HOST:PORT | --addr-file PATH
              --op register|check|analyze|anonymize|query|update|watch|
@@ -134,10 +132,8 @@ COMMANDS:
              commands (2 verdict violation, 3 interrupted search)
   help       Show this message
 
-  --chunk-rows N streams the input CSV in N-row column chunks instead of
-  buffering the whole file, and runs group-by and node checks morsel-parallel
-  across --threads workers. Results are identical to the buffered path;
-  0 (the default) keeps the historical single-table code.
+  Every --input CSV read against a spec streams into one columnar table:
+  memory follows the table's columnar size, not the file's.
   --threads 0 (the default) means one worker per available core.
 ";
 
@@ -215,27 +211,28 @@ impl BudgetSpec {
     }
 }
 
+/// Streams the `--input` CSV into one table against the spec's schema.
 fn load_table(args: &Args, spec: &Spec) -> Result<Table, String> {
-    let path = args.require("input")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let schema = spec.schema().map_err(|e| e.to_string())?;
-    csv::read_table_str(&text, schema, true).map_err(|e| e.to_string())
+    read_csv(args.require("input")?, schema)
 }
 
-/// Streams the `--input` CSV into `chunk_rows`-row column chunks without
-/// buffering the file (the `--chunk-rows` ingest path).
-fn load_chunked(args: &Args, spec: &Spec, chunk_rows: usize) -> Result<ChunkedTable, String> {
-    let path = args.require("input")?;
+/// Streams the headered CSV file at `path` into a table of `schema`.
+fn read_csv(path: &str, schema: Schema) -> Result<Table, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let schema = spec.schema().map_err(|e| e.to_string())?;
-    csv::read_chunked(std::io::BufReader::new(file), schema, true, chunk_rows)
-        .map_err(|e| e.to_string())
+    csv::read_table(BufReader::new(file), schema, true).map_err(|e| match e {
+        psens_microdata::Error::Io(io) => format!("reading {path}: {io}"),
+        other => other.to_string(),
+    })
 }
 
-/// The `--chunk-rows` option: `0` (the default) keeps the buffered
-/// single-table path.
-fn chunk_rows_arg(args: &Args) -> Result<usize, String> {
-    args.get_usize("chunk-rows", 0)
+/// Writes `table` as headered CSV to a new file at `path`, buffered; a
+/// failed flush is an error, not a silently truncated file.
+fn write_csv(path: &str, table: &Table) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+    let mut writer = BufWriter::new(file);
+    csv::write_table(&mut writer, table, true).map_err(|e| format!("writing {path}: {e}"))?;
+    writer.flush().map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// The `--threads` option: `0` (also the default when the flag is absent)
@@ -378,46 +375,29 @@ fn generate_delta_sequence(base: &Table, n: usize, seed: u64) -> Result<(String,
     Ok((jsonl, current))
 }
 
+/// Rows per generated table when `generate --profile scale` streams to
+/// disk: memory stays bounded by one such table at any `--rows`.
+const SCALE_WRITE_ROWS: usize = 65_536;
+
 fn generate(args: &Args) -> Result<String, String> {
     let rows = args.get_usize("rows", 1000)?;
     let seed = args.get_u64("seed", 42)?;
     let deltas = args.get_usize("deltas", 0)?;
     let out = args.require("out")?;
-    let mut file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
+    let file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
+    let mut writer = BufWriter::new(file);
     if deltas > 0 && args.get("profile").unwrap_or("adult") != "adult" {
         return Err("--deltas is only supported with --profile adult".to_owned());
     }
-    match args.get("profile").unwrap_or("adult") {
+    let adult = match args.get("profile").unwrap_or("adult") {
         "adult" => {
             let table = AdultGenerator::new(seed).generate(rows);
-            csv::write_table(&mut file, &table, true).map_err(|e| e.to_string())?;
-            if deltas > 0 {
-                let deltas_out = args.require("deltas-out")?;
-                let (jsonl, finished) = generate_delta_sequence(&table, deltas, seed)?;
-                std::fs::write(deltas_out, jsonl)
-                    .map_err(|e| format!("writing {deltas_out}: {e}"))?;
-                if let Some(final_out) = args.get("final-out") {
-                    let mut final_file = std::fs::File::create(final_out)
-                        .map_err(|e| format!("creating {final_out}: {e}"))?;
-                    csv::write_table(&mut final_file, &finished, true)
-                        .map_err(|e| e.to_string())?;
-                }
-                return Ok(format!(
-                    "wrote {rows} rows to {out}, {deltas} deltas to {deltas_out} (final: {} rows)",
-                    finished.n_rows()
-                ));
-            }
+            csv::write_table(&mut writer, &table, true).map_err(|e| e.to_string())?;
+            Some(table)
         }
         "scale" => {
-            // Stream chunk by chunk so --rows 10000000 never holds more
-            // than one chunk (plus the write buffer) in memory.
-            let chunk_rows = match chunk_rows_arg(args)? {
-                0 => 65_536,
-                n => n,
-            };
-            let mut writer = std::io::BufWriter::new(&mut file);
             let mut header = true;
-            for chunk in ScaleGenerator::new(seed).chunks(rows, chunk_rows) {
+            for chunk in ScaleGenerator::new(seed).chunks(rows, SCALE_WRITE_ROWS) {
                 csv::write_table(&mut writer, &chunk, header).map_err(|e| e.to_string())?;
                 header = false;
             }
@@ -426,8 +406,22 @@ fn generate(args: &Args) -> Result<String, String> {
                 let empty = Table::empty(ScaleGenerator::schema());
                 csv::write_table(&mut writer, &empty, true).map_err(|e| e.to_string())?;
             }
+            None
         }
         other => return Err(format!("unknown profile `{other}` (adult|scale)")),
+    };
+    writer.flush().map_err(|e| format!("writing {out}: {e}"))?;
+    if let (Some(table), true) = (adult, deltas > 0) {
+        let deltas_out = args.require("deltas-out")?;
+        let (jsonl, finished) = generate_delta_sequence(&table, deltas, seed)?;
+        std::fs::write(deltas_out, jsonl).map_err(|e| format!("writing {deltas_out}: {e}"))?;
+        if let Some(final_out) = args.get("final-out") {
+            write_csv(final_out, &finished)?;
+        }
+        return Ok(format!(
+            "wrote {rows} rows to {out}, {deltas} deltas to {deltas_out} (final: {} rows)",
+            finished.n_rows()
+        ));
     }
     Ok(format!("wrote {rows} rows to {out}"))
 }
@@ -445,7 +439,7 @@ fn write_spec(args: &Args) -> Result<String, String> {
 }
 
 fn check(args: &Args) -> Result<CmdOutput, String> {
-    // The default model keeps the original (chunkable, stage-classified)
+    // The default model keeps the original (stage-classified)
     // p-sensitivity path byte-for-byte; other models go through the
     // whole-table oracle.
     let spec_model = model_arg(args, 2)?;
@@ -454,44 +448,20 @@ fn check(args: &Args) -> Result<CmdOutput, String> {
     }
     let wall = Instant::now();
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
-    let threads = threads_arg(args)?;
     let k = args.get_u32("k", 2)?;
     let p = args.get_u32("p", 2)?;
     let verbose = args.get_flag("verbose");
-    // Both paths produce identical output: the chunked merge reproduces the
-    // serial group ids, so only memory and wall-clock differ.
-    enum Input {
-        Whole(Table),
-        Chunked(ChunkedTable),
-    }
-    let input = if chunk_rows > 0 {
-        Input::Chunked(load_chunked(args, &spec, chunk_rows)?)
-    } else {
-        Input::Whole(load_table(args, &spec)?)
-    };
-    let (n_rows, schema) = match &input {
-        Input::Whole(t) => (t.n_rows(), t.schema()),
-        Input::Chunked(c) => (c.n_rows(), c.schema()),
-    };
-    let keys = schema.key_indices();
-    let conf = schema.confidential_indices();
+    let table = load_table(args, &spec)?;
+    let n_rows = table.n_rows();
+    let keys = table.schema().key_indices();
+    let conf = table.schema().confidential_indices();
     if verbose {
         eprintln!("[psens] checking {n_rows} row(s) against p = {p}, k = {k}");
     }
     let check_timer = Instant::now();
-    let (report, maxk, maxp) = match &input {
-        Input::Whole(t) => (
-            check_p_sensitivity(t, &keys, &conf, p, k),
-            max_k(t, &keys),
-            max_p_of_masked(t, &keys, &conf),
-        ),
-        Input::Chunked(c) => (
-            check_p_sensitivity_chunked(c, &keys, &conf, p, k, threads),
-            max_k_chunked(c, &keys, threads),
-            max_p_of_masked_chunked(c, &keys, &conf, threads),
-        ),
-    };
+    let report = check_p_sensitivity(&table, &keys, &conf, p, k);
+    let maxk = max_k(&table, &keys);
+    let maxp = max_p_of_masked(&table, &keys, &conf);
     let check_elapsed = check_timer.elapsed();
     // `check` evaluates exactly one "node": the table as released. Classify
     // the verdict by the first Algorithm 2 stage that fails so report
@@ -573,18 +543,12 @@ fn check(args: &Args) -> Result<CmdOutput, String> {
 }
 
 /// `check --model` for the non-default models: the whole-table oracle
-/// ([`check_table_model`]) over the buffered (or re-materialized chunked)
-/// input.
+/// ([`check_table_model`]) over the input table.
 fn check_model(args: &Args, spec_model: ModelSpec) -> Result<CmdOutput, String> {
     let wall = Instant::now();
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
     let k = args.get_u32("k", 2)?;
-    let table = if chunk_rows > 0 {
-        load_chunked(args, &spec, chunk_rows)?.to_table()
-    } else {
-        load_table(args, &spec)?
-    };
+    let table = load_table(args, &spec)?;
     let keys = table.schema().key_indices();
     let conf = table.schema().confidential_indices();
     let model = spec_model.instantiate();
@@ -656,24 +620,10 @@ fn analyze(args: &Args) -> Result<CmdOutput, String> {
         Some(_) => Some(args.get_u32("p", 2)?),
         None => None,
     };
-    let chunk_rows = chunk_rows_arg(args)?;
-    let threads = threads_arg(args)?;
-    // With --chunk-rows the ingest streams and the Condition 1/2 statistics
-    // run chunk-parallel; the column profile and risk metrics still need
-    // one materialized table (its columnar form, not the CSV text).
-    let (table, stats) = if chunk_rows > 0 {
-        let chunked = load_chunked(args, &spec, chunk_rows)?;
-        let conf = chunked.schema().confidential_indices();
-        let stats = ConfidentialStats::compute_chunked(&chunked, &conf, threads);
-        (chunked.to_table(), stats)
-    } else {
-        let table = load_table(args, &spec)?;
-        let conf = table.schema().confidential_indices();
-        let stats = ConfidentialStats::compute(&table, &conf);
-        (table, stats)
-    };
+    let table = load_table(args, &spec)?;
     let keys = table.schema().key_indices();
     let conf = table.schema().confidential_indices();
+    let stats = ConfidentialStats::compute(&table, &conf);
     let mut out = String::new();
     out.push_str(&format!("rows: {}\n\ncolumn profile:\n", table.n_rows()));
     for summary in psens_microdata::describe(&table) {
@@ -760,15 +710,7 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
     // Budget first: the deadline clock starts before the input is read.
     let limits = BudgetSpec::from_args(args)?;
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
-    // Chunked ingest streams the CSV text; the search itself then works on
-    // the compact columnar table, with the evaluator's partition kernel
-    // running chunk-parallel when --chunk-rows is set.
-    let table = if chunk_rows > 0 {
-        load_chunked(args, &spec, chunk_rows)?.to_table()
-    } else {
-        load_table(args, &spec)?
-    };
+    let table = load_table(args, &spec)?;
     let out_path = args.require("out")?;
     let k = args.get_u32("k", 2)?;
     let spec_model = model_arg(args, 1)?;
@@ -803,7 +745,7 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
             let tuning = Tuning {
                 threads,
                 cache: store.as_ref(),
-                chunk_rows,
+                ..Tuning::default()
             };
             let outcome = pk_minimal_generalization_model(
                 &table,
@@ -936,9 +878,7 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
         other => return Err(format!("unknown algorithm `{other}`")),
     };
     if let Some(masked) = &masked {
-        let mut file =
-            std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
-        csv::write_table(&mut file, masked, true).map_err(|e| e.to_string())?;
+        write_csv(out_path, masked)?;
         out.push_str(&format!("wrote {} rows to {out_path}\n", masked.n_rows()));
     }
     if !termination.is_complete() {
@@ -974,23 +914,12 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
 }
 
 fn query(args: &Args) -> Result<String, String> {
-    let chunk_rows = chunk_rows_arg(args)?;
-    // With a spec the CSV is read against its schema (roles included);
-    // without one, kinds are inferred and all roles default to `other`.
-    // Inference needs the whole file, so chunked ingest requires a spec.
-    let table = match (args.get("spec"), chunk_rows) {
-        (Some(_), n) if n > 0 => {
-            let spec = load_spec(args)?;
-            load_chunked(args, &spec, n)?.to_table()
-        }
-        (None, n) if n > 0 => {
-            return Err("--chunk-rows needs --spec (schema inference buffers the file)".to_owned())
-        }
-        (Some(_), _) => {
-            let spec = load_spec(args)?;
-            load_table(args, &spec)?
-        }
-        (None, _) => {
+    // With a spec the CSV streams in against its schema (roles included);
+    // without one, kinds are inferred from the whole file and all roles
+    // default to `other`.
+    let table = match args.get("spec") {
+        Some(_) => load_table(args, &load_spec(args)?)?,
+        None => {
             let path = args.require("input")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             csv::read_table_infer(&text).map_err(|e| e.to_string())?
@@ -1182,18 +1111,9 @@ fn attack(args: &Args) -> Result<String, String> {
         masked_attrs.push(Attribute::new(attr.name(), kind, attr.role()));
     }
     let masked_schema = Schema::new(masked_attrs).map_err(|e| e.to_string())?;
-    let masked_path = args.require("masked")?;
-    let masked_text =
-        std::fs::read_to_string(masked_path).map_err(|e| format!("reading {masked_path}: {e}"))?;
-    let masked =
-        csv::read_table_str(&masked_text, masked_schema, true).map_err(|e| e.to_string())?;
-
+    let masked = read_csv(args.require("masked")?, masked_schema)?;
     // The intruder's external knowledge uses the raw spec schema.
-    let external_path = args.require("external")?;
-    let external_text = std::fs::read_to_string(external_path)
-        .map_err(|e| format!("reading {external_path}: {e}"))?;
-    let external =
-        csv::read_table_str(&external_text, spec_schema, true).map_err(|e| e.to_string())?;
+    let external = read_csv(args.require("external")?, spec_schema)?;
 
     let identifier = args.require("identifier")?;
     let findings =
@@ -1779,103 +1699,40 @@ mod tests {
     }
 
     #[test]
-    fn chunked_check_is_byte_identical_to_buffered() {
-        let data = temp_path("chdata.csv");
-        let spec = temp_path("chspec.json");
-        let data_s = data.to_str().unwrap();
-        let spec_s = spec.to_str().unwrap();
-        run_line(&["generate", "--rows", "400", "--seed", "19", "--out", data_s]).unwrap();
-        run_line(&["spec", "--out", spec_s]).unwrap();
-        let buffered = run_full(&[
-            "check", "--spec", spec_s, "--input", data_s, "--k", "2", "--p", "2",
-        ])
-        .unwrap();
-        for chunk_rows in ["1", "7", "100", "4096"] {
-            for threads in ["1", "8"] {
-                let chunked = run_full(&[
-                    "check",
-                    "--spec",
-                    spec_s,
-                    "--input",
-                    data_s,
-                    "--k",
-                    "2",
-                    "--p",
-                    "2",
-                    "--chunk-rows",
-                    chunk_rows,
-                    "--threads",
-                    threads,
-                ])
-                .unwrap();
-                assert_eq!(
-                    chunked.text, buffered.text,
-                    "chunk_rows={chunk_rows} threads={threads}"
-                );
-                assert_eq!(chunked.code, buffered.code);
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_anonymize_matches_buffered_release() {
+    fn anonymize_release_is_identical_across_thread_counts() {
         let data = temp_path("cadata.csv");
         let spec = temp_path("caspec.json");
         let data_s = data.to_str().unwrap();
         let spec_s = spec.to_str().unwrap();
         run_line(&["generate", "--rows", "300", "--seed", "23", "--out", data_s]).unwrap();
         run_line(&["spec", "--out", spec_s]).unwrap();
-        let masked_a = temp_path("camasked_a.csv");
-        let masked_b = temp_path("camasked_b.csv");
-        let buffered = run_full(&[
-            "anonymize",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--out",
-            masked_a.to_str().unwrap(),
-            "--k",
-            "2",
-            "--p",
-            "2",
-            "--ts",
-            "10",
-        ])
-        .unwrap();
-        let chunked = run_full(&[
-            "anonymize",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--out",
-            masked_b.to_str().unwrap(),
-            "--k",
-            "2",
-            "--p",
-            "2",
-            "--ts",
-            "10",
-            "--chunk-rows",
-            "64",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(buffered.code, 0, "{}", buffered.text);
-        assert_eq!(chunked.code, 0, "{}", chunked.text);
+        let release = |threads: &str| {
+            let masked = temp_path(&format!("camasked_{threads}.csv"));
+            let run = run_full(&[
+                "anonymize",
+                "--spec",
+                spec_s,
+                "--input",
+                data_s,
+                "--out",
+                masked.to_str().unwrap(),
+                "--k",
+                "2",
+                "--p",
+                "2",
+                "--ts",
+                "10",
+                "--threads",
+                threads,
+            ])
+            .unwrap();
+            assert_eq!(run.code, 0, "{}", run.text);
+            let node = run.text.lines().next().unwrap().to_owned();
+            (node, std::fs::read_to_string(&masked).unwrap())
+        };
         // The winning node and the released file agree; only the output
         // paths differ in the report text.
-        assert_eq!(
-            buffered.text.lines().next(),
-            chunked.text.lines().next(),
-            "same p-k-minimal node"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&masked_a).unwrap(),
-            std::fs::read_to_string(&masked_b).unwrap()
-        );
+        assert_eq!(release("1"), release("2"));
     }
 
     #[test]
@@ -1894,8 +1751,6 @@ mod tests {
             "7",
             "--out",
             data_s,
-            "--chunk-rows",
-            "128",
         ])
         .unwrap();
         assert!(msg.contains("500 rows"));
@@ -1914,17 +1769,7 @@ mod tests {
         // The matching spec drives the usual pipeline.
         run_line(&["spec", "--profile", "scale", "--out", spec_s]).unwrap();
         let report = run_full(&[
-            "check",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--k",
-            "1",
-            "--p",
-            "1",
-            "--chunk-rows",
-            "100",
+            "check", "--spec", spec_s, "--input", data_s, "--k", "1", "--p", "1",
         ])
         .unwrap();
         assert!(report.text.contains("rows: 500"), "{}", report.text);
@@ -1974,48 +1819,18 @@ mod tests {
     }
 
     #[test]
-    fn query_chunked_ingest_requires_a_spec() {
+    fn query_with_spec_agrees_with_inferred_schema() {
         let data = temp_path("qcdata.csv");
         let data_s = data.to_str().unwrap();
         run_line(&["generate", "--rows", "50", "--seed", "3", "--out", data_s]).unwrap();
-        let err = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--sql",
-            "SELECT COUNT(*) FROM data",
-            "--chunk-rows",
-            "16",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--spec"), "{err}");
-        // With a spec the chunked and buffered answers agree.
         let spec = temp_path("qcspec.json");
         let spec_s = spec.to_str().unwrap();
         run_line(&["spec", "--out", spec_s]).unwrap();
-        let buffered = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--spec",
-            spec_s,
-            "--sql",
-            "SELECT Sex, COUNT(*) FROM data GROUP BY Sex ORDER BY 2 DESC",
-        ])
-        .unwrap();
-        let chunked = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--spec",
-            spec_s,
-            "--chunk-rows",
-            "16",
-            "--sql",
-            "SELECT Sex, COUNT(*) FROM data GROUP BY Sex ORDER BY 2 DESC",
-        ])
-        .unwrap();
-        assert_eq!(buffered, chunked);
+        let sql = "SELECT Sex, COUNT(*) FROM data GROUP BY Sex ORDER BY 2 DESC";
+        let inferred = run_line(&["query", "--input", data_s, "--sql", sql]).unwrap();
+        let streamed =
+            run_line(&["query", "--input", data_s, "--spec", spec_s, "--sql", sql]).unwrap();
+        assert_eq!(inferred, streamed);
     }
 
     #[test]

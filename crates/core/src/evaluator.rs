@@ -34,8 +34,9 @@ use crate::model::{CodeDistribution, GroupCheckMode, ModelDetail, ModelSpec, Pri
 use crate::observe::{elapsed_since, start_timer, SearchObserver};
 use crate::verdict::{Verdict, VerdictStore};
 use psens_hierarchy::{Error, Node, QiCodeMaps};
-use psens_microdata::hash::{fmix64, mix64, KEY_HASH_SEED};
-use psens_microdata::{group_codes, resolve_threads, CodeCombiner, KeyKernel, Role, DENSE_CAP};
+use psens_microdata::{
+    group_codes, resolve_threads, CodeColumn, CodeCombiner, CodeKeyKernel, Role,
+};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -47,128 +48,6 @@ enum ConfSource {
     /// Inside the QI space (index into the code maps): the column is
     /// generalized with the node, so its codes go through the level map.
     Mapped(usize),
-}
-
-/// One refinement column as the morsel executor sees it: row `r`'s key
-/// component is a dense code below `n_codes`.
-enum MappedCol<'a> {
-    /// A grouped QI attribute at the node's level: component `map[base[r]]`
-    /// — the generalization map fused into the key read, never
-    /// materialized.
-    Mapped {
-        /// Ground-level dense codes of the attribute.
-        base: &'a [u32],
-        /// Ground code → level code map of the node's level.
-        map: &'a [u32],
-        /// Exclusive bound on level codes.
-        n_codes: u32,
-    },
-    /// A static key column (outside the QI space): component `codes[r]`.
-    Plain {
-        /// Whole-table dense codes.
-        codes: &'a [u32],
-        /// Exclusive bound on the codes.
-        n_codes: u32,
-    },
-}
-
-impl MappedCol<'_> {
-    #[inline]
-    fn component(&self, row: usize) -> u32 {
-        match self {
-            MappedCol::Mapped { base, map, .. } => map[base[row] as usize],
-            MappedCol::Plain { codes, .. } => codes[row],
-        }
-    }
-
-    fn n_codes(&self) -> u32 {
-        match self {
-            MappedCol::Mapped { n_codes, .. } | MappedCol::Plain { n_codes, .. } => *n_codes,
-        }
-    }
-}
-
-/// [`KeyKernel`] over one node's refinement columns, feeding the morsel
-/// executor from whole-table contiguous slices. Every component is already
-/// a dense code, so the dense fused-key path covers any column-domain
-/// product under [`DENSE_CAP`]; wider keys fall back to the seeded hash
-/// with exact per-component verification.
-struct MappedKeyKernel<'a> {
-    n_rows: usize,
-    cols: Vec<MappedCol<'a>>,
-    product: Option<u32>,
-}
-
-impl<'a> MappedKeyKernel<'a> {
-    fn new(ctx: &'a EvalContext, node: &Node) -> MappedKeyKernel<'a> {
-        let mut cols = Vec::with_capacity(ctx.qi_is_key.len() + ctx.static_keys.len());
-        for (i, &level) in node.levels().iter().enumerate() {
-            if !ctx.qi_is_key[i] {
-                continue;
-            }
-            let attr = ctx.maps.attr(i);
-            let lm = attr.level(level as usize);
-            cols.push(MappedCol::Mapped {
-                base: attr.base(),
-                map: lm.map(),
-                n_codes: lm.n_codes(),
-            });
-        }
-        for (codes, n_codes) in &ctx.static_keys {
-            cols.push(MappedCol::Plain {
-                codes,
-                n_codes: *n_codes,
-            });
-        }
-        let mut running: u64 = 1;
-        for col in &cols {
-            running = running.saturating_mul(u64::from(col.n_codes()).max(1));
-        }
-        let product = (running <= DENSE_CAP).then_some(running.max(1) as u32);
-        MappedKeyKernel {
-            n_rows: ctx.n_rows,
-            cols,
-            product,
-        }
-    }
-}
-
-impl KeyKernel for MappedKeyKernel<'_> {
-    fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    fn dense_product(&self) -> Option<u32> {
-        self.product
-    }
-
-    fn fill_dense(&self, start: usize, out: &mut [u32]) {
-        out.fill(0);
-        for col in &self.cols {
-            let d = col.n_codes().max(1);
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = *slot * d + col.component(start + i);
-            }
-        }
-    }
-
-    fn fill_hashed(&self, start: usize, out: &mut [u64]) {
-        out.fill(KEY_HASH_SEED);
-        for col in &self.cols {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = mix64(*slot, u64::from(col.component(start + i)));
-            }
-        }
-        for slot in out.iter_mut() {
-            *slot = fmix64(*slot);
-        }
-    }
-
-    fn rows_equal(&self, a: usize, b: usize) -> bool {
-        self.cols
-            .iter()
-            .all(|col| col.component(a) == col.component(b))
-    }
 }
 
 /// Everything node-invariant about one (table, QI space, k, p, TS) search —
@@ -199,11 +78,10 @@ pub struct EvalContext {
     /// sources — a QI-mapped confidential column's distribution depends on
     /// the node and is tallied per check.
     globals: Vec<Option<CodeDistribution>>,
-    /// Row-range chunk size for chunk-parallel partitioning; 0 disables the
-    /// chunked path (the default — behavior is then exactly the serial
-    /// kernel).
+    /// Rows per morsel for the morsel-parallel partition; 0 disables it
+    /// (the default — behavior is then exactly the serial kernel).
     chunk_rows: usize,
-    /// Worker threads for the chunked partition pass.
+    /// Worker threads for the morsel-parallel partition.
     threads: usize,
 }
 
@@ -632,11 +510,14 @@ impl NodeEvaluator<'_> {
         }
     }
 
-    /// Refines the QI partition for `node`; returns the group count.
-    fn partition(&mut self, node: &Node) -> u32 {
+    /// Refines the QI partition for `node` — the serial refinement chain,
+    /// or the morsel executor when the context enables it (see
+    /// [`EvalContext::with_chunked_partition`]) — and returns the group
+    /// count. Public so the partition can be timed on its own.
+    pub fn partition(&mut self, node: &Node) -> u32 {
         let ctx = self.ctx;
         if ctx.chunk_rows > 0 && ctx.n_rows > ctx.chunk_rows && ctx.threads > 1 {
-            return self.partition_chunked(node);
+            return self.partition_morsels(node);
         }
         let n = ctx.n_rows;
         self.current.clear();
@@ -666,13 +547,32 @@ impl NodeEvaluator<'_> {
 
     /// Morsel-parallel [`Self::partition`]: the node's refinement columns
     /// (mapped QI codes at the node's levels, then static keys) feed the
-    /// shared morsel executor as a [`MappedKeyKernel`], with `chunk_rows`
+    /// shared morsel executor as a [`CodeKeyKernel`], with `chunk_rows`
     /// rows per morsel — assigning global ids in whole-table
     /// first-appearance order, byte-identical to the serial refinement
     /// chain.
-    fn partition_chunked(&mut self, node: &Node) -> u32 {
+    fn partition_morsels(&mut self, node: &Node) -> u32 {
         let ctx = self.ctx;
-        let kernel = MappedKeyKernel::new(ctx, node);
+        let mut cols = Vec::with_capacity(ctx.qi_is_key.len() + ctx.static_keys.len());
+        for (i, &level) in node.levels().iter().enumerate() {
+            if !ctx.qi_is_key[i] {
+                continue;
+            }
+            let attr = ctx.maps.attr(i);
+            let lm = attr.level(level as usize);
+            cols.push(CodeColumn::Mapped {
+                base: attr.base(),
+                map: lm.map(),
+                n_codes: lm.n_codes(),
+            });
+        }
+        for (codes, n_codes) in &ctx.static_keys {
+            cols.push(CodeColumn::Plain {
+                codes,
+                n_codes: *n_codes,
+            });
+        }
+        let kernel = CodeKeyKernel::new(ctx.n_rows, cols);
         let (current, n_groups) = group_codes(&kernel, ctx.threads, ctx.chunk_rows);
         self.current = current;
         n_groups

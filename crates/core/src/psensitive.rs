@@ -8,7 +8,7 @@
 //! > least p times within the same group.*
 
 use crate::kanonymity::report_from_groups;
-use psens_microdata::{ChunkedTable, GroupBy, Table, Value};
+use psens_microdata::{GroupBy, Table, Value};
 use serde::Serialize;
 
 /// One p-sensitivity violation: a QI-group in which some confidential
@@ -91,47 +91,6 @@ pub fn check_p_sensitivity(
     }
 }
 
-/// [`check_p_sensitivity`] over a [`ChunkedTable`], chunk-parallel on
-/// `threads` workers and without materializing the table: the grouping comes
-/// from [`GroupBy::compute_chunked`] and each confidential attribute is
-/// densified chunk-parallel via [`ChunkedTable::dense_codes`]. The report is
-/// equal (`==`) to the serial one on `chunked.to_table()`.
-pub fn check_p_sensitivity_chunked(
-    chunked: &ChunkedTable,
-    keys: &[usize],
-    confidential: &[usize],
-    p: u32,
-    k: u32,
-    threads: usize,
-) -> PSensitivityReport {
-    let groups = GroupBy::compute_chunked(chunked, keys, threads);
-    let k_report = report_from_groups(&groups, k);
-    let mut violations = Vec::new();
-    for &attr in confidential {
-        let (codes, n_codes) = chunked.dense_codes(attr, threads);
-        let distinct = groups.distinct_codes_per_group(&codes, n_codes);
-        for (g, &d) in distinct.iter().enumerate() {
-            if d < p {
-                violations.push(SensitivityViolation {
-                    group: g as u32,
-                    group_size: groups.sizes()[g],
-                    attribute: attr,
-                    attribute_name: chunked.schema().attribute(attr).name().to_owned(),
-                    distinct: d,
-                });
-            }
-        }
-    }
-    violations.sort_by_key(|v| (v.group, v.attribute));
-    PSensitivityReport {
-        p,
-        k,
-        k_anonymous: k_report.satisfied(),
-        n_groups: groups.n_groups(),
-        violations,
-    }
-}
-
 /// The paper's Algorithm 1 with its early exit: returns as soon as
 /// k-anonymity fails or any group/attribute pair has fewer than `p` distinct
 /// values.
@@ -171,32 +130,6 @@ pub fn max_p_of_masked(table: &Table, keys: &[usize], confidential: &[usize]) ->
         .map(|&attr| {
             groups
                 .distinct_per_group(table.column(attr))
-                .into_iter()
-                .min()
-                .unwrap_or(0)
-        })
-        .min()
-        .unwrap_or(0)
-}
-
-/// [`max_p_of_masked`] over a [`ChunkedTable`], chunk-parallel on `threads`
-/// workers. Equal to the serial value on `chunked.to_table()`.
-pub fn max_p_of_masked_chunked(
-    chunked: &ChunkedTable,
-    keys: &[usize],
-    confidential: &[usize],
-    threads: usize,
-) -> u32 {
-    let groups = GroupBy::compute_chunked(chunked, keys, threads);
-    if groups.n_groups() == 0 {
-        return 0;
-    }
-    confidential
-        .iter()
-        .map(|&attr| {
-            let (codes, n_codes) = chunked.dense_codes(attr, threads);
-            groups
-                .distinct_codes_per_group(&codes, n_codes)
                 .into_iter()
                 .min()
                 .unwrap_or(0)
@@ -363,27 +296,6 @@ mod tests {
         let g2 = &profiles[1];
         assert_eq!(g2.size, 4);
         assert_eq!(g2.distinct, vec![2, 2]);
-    }
-
-    #[test]
-    fn chunked_check_equals_serial_report() {
-        for t in [table3(), table3_fixed()] {
-            let keys = t.schema().key_indices();
-            let conf = t.schema().confidential_indices();
-            for (p, k) in [(1u32, 3u32), (2, 3), (1, 4), (3, 1)] {
-                let serial = check_p_sensitivity(&t, &keys, &conf, p, k);
-                for chunk_rows in [1usize, 2, 4096] {
-                    let chunked = ChunkedTable::from_table(&t, chunk_rows);
-                    for threads in [1usize, 2, 8] {
-                        assert_eq!(
-                            check_p_sensitivity_chunked(&chunked, &keys, &conf, p, k, threads),
-                            serial,
-                            "p={p} k={k} chunk_rows={chunk_rows} threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! [`ScaleGenerator::generate`] equals the concatenation of
 //! [`ScaleGenerator::chunks`] for *any* chunk size: the streaming producer
 //! and the one-shot table are the same dataset, which is what lets the CLI
-//! stream a 10M-row CSV to disk in bounded memory and the benches compare
-//! serial and chunked group-by on identical inputs.
+//! stream a 10M-row CSV to disk in bounded memory.
 
 use crate::adult::{
     pick_weighted, sample_age, sample_capital_gain, sample_capital_loss, sample_high_pay,
@@ -151,7 +150,6 @@ fn sample_row(rng: &mut StdRng) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psens_microdata::ChunkedTable;
 
     #[test]
     fn generation_is_deterministic() {
@@ -166,12 +164,14 @@ mod tests {
         let g = ScaleGenerator::new(13);
         let whole = g.generate(257);
         for chunk_rows in [1usize, 7, 64, 256, 257, 1000] {
-            let mut chunked = ChunkedTable::new(ScaleGenerator::schema(), chunk_rows);
+            let mut joined = TableBuilder::new(ScaleGenerator::schema());
             for chunk in g.chunks(257, chunk_rows) {
-                chunked.push_chunk(chunk);
+                assert!(chunk.n_rows() <= chunk_rows);
+                for row in 0..chunk.n_rows() {
+                    joined.push_row(chunk.row(row).unwrap()).unwrap();
+                }
             }
-            assert_eq!(chunked.n_rows(), 257);
-            assert_eq!(chunked.to_table(), whole, "chunk_rows={chunk_rows}");
+            assert_eq!(joined.finish(), whole, "chunk_rows={chunk_rows}");
         }
     }
 

@@ -34,6 +34,11 @@ impl Bitmap {
         }
     }
 
+    /// Releases spare capacity left over from pushes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// Number of bits stored.
     pub fn len(&self) -> usize {
         self.len

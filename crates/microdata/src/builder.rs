@@ -108,14 +108,21 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Finalizes the builder into a [`Table`].
+    /// Finalizes the builder into a [`Table`], releasing the columns'
+    /// spare capacity (up to half of a large table's footprint).
     pub fn finish(self) -> Table {
         let columns = self
             .columns
             .into_iter()
             .map(|c| match c {
-                ColumnBuilder::Int(c) => Column::Int(c),
-                ColumnBuilder::Cat(c) => Column::Cat(c),
+                ColumnBuilder::Int(mut c) => {
+                    c.shrink_to_fit();
+                    Column::Int(c)
+                }
+                ColumnBuilder::Cat(mut c) => {
+                    c.shrink_to_fit();
+                    Column::Cat(c)
+                }
             })
             .collect();
         Table::new(self.schema, columns).expect("builder maintains invariants")

@@ -25,15 +25,10 @@ impl IntColumn {
         IntColumn { values, validity }
     }
 
-    /// Builds a column from raw parts: values (missing rows hold the
-    /// canonical `0` placeholder) and a validity bitmap of the same length.
-    pub(crate) fn from_parts(values: Vec<i64>, validity: Bitmap) -> Self {
-        assert_eq!(
-            values.len(),
-            validity.len(),
-            "values and validity must have equal length"
-        );
-        IntColumn { values, validity }
+    /// Releases spare capacity left over from pushes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.validity.shrink_to_fit();
     }
 
     /// Appends a present value.
@@ -128,28 +123,10 @@ impl CatColumn {
         }
     }
 
-    /// Builds a column from raw parts. Unlike [`CatColumn::from_codes`],
-    /// missing rows are allowed: they hold the canonical `0` placeholder and
-    /// a cleared validity bit. Only the codes of *valid* rows are checked
-    /// against the dictionary.
-    pub(crate) fn from_parts(dict: Dictionary, codes: Vec<u32>, validity: Bitmap) -> Self {
-        assert_eq!(
-            codes.len(),
-            validity.len(),
-            "codes and validity must have equal length"
-        );
-        for (row, &code) in codes.iter().enumerate() {
-            assert!(
-                !validity.get(row) || (code as usize) < dict.len(),
-                "code {code} out of range for dictionary of {}",
-                dict.len()
-            );
-        }
-        CatColumn {
-            dict,
-            codes,
-            validity,
-        }
+    /// Releases spare capacity left over from pushes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.codes.shrink_to_fit();
+        self.validity.shrink_to_fit();
     }
 
     /// Appends a present value, interning it.

@@ -5,7 +5,6 @@
 //! Adult dataset's `?` marker parse as [`Value::Missing`].
 
 use crate::builder::TableBuilder;
-use crate::chunked::ChunkedTable;
 use crate::error::{Error, Result};
 use crate::schema::{Kind, Schema};
 use crate::table::Table;
@@ -107,26 +106,10 @@ pub fn parse_records(input: &str) -> Result<Vec<Vec<String>>> {
     Ok(records)
 }
 
-/// Reads a table with a known schema from CSV text.
-///
-/// When `has_header` is true the first record must list the schema's
-/// attribute names in order. Integer columns parse their fields as `i64`;
-/// empty fields and `?` become missing in either kind of column.
+/// Reads a table with a known schema from CSV text: [`read_table`] over
+/// the bytes of `input`.
 pub fn read_table_str(input: &str, schema: Schema, has_header: bool) -> Result<Table> {
-    let records = parse_records(input)?;
-    let mut iter = records.into_iter().enumerate();
-    if has_header {
-        let (_, header) = iter.next().ok_or(Error::Csv {
-            line: 1,
-            message: "missing header".into(),
-        })?;
-        validate_header(&header, &schema)?;
-    }
-    let mut builder = TableBuilder::new(schema.clone());
-    for (record_idx, record) in iter {
-        builder.push_row(parse_record_values(&record, &schema, record_idx + 1)?)?;
-    }
-    Ok(builder.finish())
+    read_table(input.as_bytes(), schema, has_header)
 }
 
 /// Checks a header record against the schema's attribute names in order.
@@ -182,64 +165,50 @@ fn parse_record_values(record: &[String], schema: &Schema, line: usize) -> Resul
     Ok(row)
 }
 
-/// Reads a table from any buffered reader; see [`read_table_str`].
+/// Reads a table with a known schema from a CSV stream.
+///
+/// When `has_header` is true the first record must list the schema's
+/// attribute names in order. Integer columns parse their fields as `i64`;
+/// empty fields and `?` become missing in either kind of column.
+///
+/// The input is never held whole: the working set is one 64 KiB read
+/// buffer, the record under construction and the columnar table being
+/// built, so ingest memory is bounded by the table's columnar size rather
+/// than the file's — the property the CI `ulimit` smoke pins down. Records,
+/// values and line numbers are exactly those [`parse_records`] yields on
+/// the whole text; when the input holds several errors, the first one in
+/// document order is reported.
 pub fn read_table<R: BufRead>(mut reader: R, schema: Schema, has_header: bool) -> Result<Table> {
-    let mut input = String::new();
-    reader.read_to_string(&mut input)?;
-    read_table_str(&input, schema, has_header)
-}
-
-/// Streaming CSV ingest: reads a [`ChunkedTable`] in bounded memory.
-///
-/// Semantically identical to `read_table` followed by
-/// [`ChunkedTable::from_table`] — same records, same values, same per-chunk
-/// dictionaries as a chunk-at-a-time build, and an error exactly when the
-/// buffered reader errors (the *variant* may differ when a file holds several
-/// errors: the stream reports the first one in document order, while the
-/// buffered path surfaces all CSV syntax errors before any value error).
-///
-/// Unlike `read_table` it never buffers the whole input: the working set is
-/// one 64 KiB read buffer, the record under construction, and the current
-/// chunk of at most `chunk_rows` rows (clamped to at least 1). That bounds
-/// ingest memory by the chunk size regardless of file size — the property the
-/// CI `ulimit` smoke pins down.
-pub fn read_chunked<R: BufRead>(
-    mut reader: R,
-    schema: Schema,
-    has_header: bool,
-    chunk_rows: usize,
-) -> Result<ChunkedTable> {
-    let mut out = ChunkedTable::new(schema.clone(), chunk_rows);
     let mut splitter = StreamSplitter::new();
-    let mut sink = RecordSink::new(schema, has_header, out.chunk_rows());
-    let mut buf = [0u8; 64 * 1024];
+    let mut sink = RecordSink::new(schema, has_header);
+    let mut buf = vec![0u8; 64 * 1024];
     // Up to 3 trailing bytes of a UTF-8 sequence split across reads.
     let mut carry: Vec<u8> = Vec::new();
     loop {
-        let n = reader.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
+        let n = match reader.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
         if carry.is_empty() {
-            feed_bytes(&buf[..n], &mut carry, &mut splitter, &mut sink, &mut out)?;
+            feed_bytes(&buf[..n], &mut carry, &mut splitter, &mut sink)?;
         } else {
             let mut joined = std::mem::take(&mut carry);
             joined.extend_from_slice(&buf[..n]);
-            feed_bytes(&joined, &mut carry, &mut splitter, &mut sink, &mut out)?;
+            feed_bytes(&joined, &mut carry, &mut splitter, &mut sink)?;
         }
     }
     if !carry.is_empty() {
         return Err(invalid_utf8());
     }
     if let Some(record) = splitter.finish()? {
-        sink.consume(record, &mut out)?;
+        sink.consume(record)?;
     }
-    sink.finish(&mut out)?;
-    Ok(out)
+    sink.finish()
 }
 
-/// The error `BufRead::read_to_string` reports on malformed UTF-8, so the
-/// streaming and buffered readers fail identically.
+/// The error `read_to_string` reports on malformed UTF-8.
 fn invalid_utf8() -> Error {
     Error::from(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -255,7 +224,6 @@ fn feed_bytes(
     carry: &mut Vec<u8>,
     splitter: &mut StreamSplitter,
     sink: &mut RecordSink,
-    out: &mut ChunkedTable,
 ) -> Result<()> {
     let text = match std::str::from_utf8(bytes) {
         Ok(text) => text,
@@ -270,7 +238,7 @@ fn feed_bytes(
     };
     for c in text.chars() {
         if let Some(record) = splitter.feed(c)? {
-            sink.consume(record, out)?;
+            sink.consume(record)?;
         }
     }
     Ok(())
@@ -290,10 +258,10 @@ enum SplitState {
     CrSeen,
 }
 
-/// Incremental record splitter — the streaming twin of [`parse_records`].
+/// Incremental record splitter behind [`read_table`].
 ///
 /// Feeding a document character by character yields exactly the records (and
-/// exactly the errors, with the same line numbers) `parse_records` produces
+/// exactly the errors, with the same line numbers) [`parse_records`] produces
 /// on the whole text; the `csv_streaming` proptest suite pins this.
 struct StreamSplitter {
     state: SplitState,
@@ -412,53 +380,43 @@ impl StreamSplitter {
     }
 }
 
-/// Turns a stream of records into chunks: validates the header, parses rows
-/// into a [`TableBuilder`], and flushes a chunk every `chunk_rows` rows.
+/// Turns a stream of records into one table: validates the header and
+/// parses every data record's values into a [`TableBuilder`].
 struct RecordSink {
     schema: Schema,
     has_header: bool,
-    chunk_rows: usize,
     builder: TableBuilder,
     record_idx: usize,
 }
 
 impl RecordSink {
-    fn new(schema: Schema, has_header: bool, chunk_rows: usize) -> RecordSink {
+    fn new(schema: Schema, has_header: bool) -> RecordSink {
         RecordSink {
             builder: TableBuilder::new(schema.clone()),
             schema,
             has_header,
-            chunk_rows,
             record_idx: 0,
         }
     }
 
-    fn consume(&mut self, record: Vec<String>, out: &mut ChunkedTable) -> Result<()> {
+    fn consume(&mut self, record: Vec<String>) -> Result<()> {
         let record_idx = self.record_idx;
         self.record_idx += 1;
         if record_idx == 0 && self.has_header {
             return validate_header(&record, &self.schema);
         }
         self.builder
-            .push_row(parse_record_values(&record, &self.schema, record_idx + 1)?)?;
-        if self.builder.n_rows() == self.chunk_rows {
-            let full = std::mem::replace(&mut self.builder, TableBuilder::new(self.schema.clone()));
-            out.push_chunk(full.finish());
-        }
-        Ok(())
+            .push_row(parse_record_values(&record, &self.schema, record_idx + 1)?)
     }
 
-    fn finish(self, out: &mut ChunkedTable) -> Result<()> {
+    fn finish(self) -> Result<Table> {
         if self.has_header && self.record_idx == 0 {
             return Err(Error::Csv {
                 line: 1,
                 message: "missing header".into(),
             });
         }
-        if self.builder.n_rows() > 0 {
-            out.push_chunk(self.builder.finish());
-        }
-        Ok(())
+        Ok(self.builder.finish())
     }
 }
 
@@ -727,75 +685,22 @@ mod tests {
     }
 
     #[test]
-    fn read_chunked_matches_buffered_reader() {
-        let input = "Age,City,Illness\n50,\"Newport, KY\",\"multi\nline\"\n?,Dayton,\n30,\"say \"\"hi\"\"\",Flu\n";
-        let buffered = read_table_str(input, schema(), true).unwrap();
-        for chunk_rows in [1usize, 2, 3, 100] {
-            let chunked = read_chunked(input.as_bytes(), schema(), true, chunk_rows).unwrap();
-            assert_eq!(chunked.to_table(), buffered, "chunk_rows={chunk_rows}");
-            assert_eq!(
-                chunked.n_chunks(),
-                buffered.n_rows().div_ceil(chunk_rows),
-                "chunk_rows={chunk_rows}"
-            );
-        }
-    }
-
-    #[test]
-    fn read_chunked_without_header() {
-        let chunked =
-            read_chunked(&b"50,Newport,HIV\n20,Dayton,Flu\n"[..], schema(), false, 1).unwrap();
-        assert_eq!(chunked.n_rows(), 2);
-        assert_eq!(chunked.n_chunks(), 2);
-    }
-
-    #[test]
-    fn read_chunked_errors_match_buffered_reader() {
-        let bad_inputs = [
-            "Age,City,Illness\n\"unterminated",
-            "Age,City,Illness\n\"x\"y,a,b\n",
-            "Age,City,Illness\na\rb,c,d\n",
-            "Age,City,Illness\nab\"cd,e,f\n",
-            "Age,Town,Illness\n50,Newport,X\n",
-            "Age,City,Illness\nold,Dayton,Y\n",
-            "Age,City\n50,Newport\n",
-            "Age,City,Illness\n50,Newport\n",
-            "",
-        ];
-        for input in bad_inputs {
-            let buffered = read_table_str(input, schema(), true);
-            let streamed = read_chunked(input.as_bytes(), schema(), true, 4);
-            assert!(buffered.is_err(), "buffered accepted {input:?}");
-            assert!(streamed.is_err(), "streamed accepted {input:?}");
-        }
-    }
-
-    #[test]
-    fn read_chunked_reports_bad_int_record_number() {
-        let input = "Age,City,Illness\n50,Newport,X\nold,Dayton,Y\n";
-        match read_chunked(input.as_bytes(), schema(), true, 4) {
-            Err(Error::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn read_chunked_rejects_invalid_utf8() {
+    fn read_table_rejects_invalid_utf8() {
         let bytes: &[u8] = b"Age,City,Illness\n50,New\xffport,X\n";
         assert!(matches!(
-            read_chunked(bytes, schema(), true, 4),
+            read_table(bytes, schema(), true),
             Err(Error::Io(_))
         ));
         // A sequence truncated by end of input is also invalid.
         let truncated: &[u8] = b"Age,City,Illness\n50,Newport,X\n\xe2\x82";
         assert!(matches!(
-            read_chunked(truncated, schema(), true, 4),
+            read_table(truncated, schema(), true),
             Err(Error::Io(_))
         ));
     }
 
     #[test]
-    fn read_chunked_handles_multibyte_split_across_reads() {
+    fn read_table_handles_multibyte_split_across_reads() {
         // A 1-byte BufRead forces every multi-byte sequence to straddle a
         // read boundary, exercising the UTF-8 carry.
         struct OneByte<'a>(&'a [u8]);
@@ -816,10 +721,8 @@ mod tests {
             }
         }
         let input = "Age,City,Illness\n50,Zürich,Grippe\n";
-        let chunked = read_chunked(OneByte(input.as_bytes()), schema(), true, 4).unwrap();
-        assert_eq!(
-            chunked.to_table(),
-            read_table_str(input, schema(), true).unwrap()
-        );
+        let t = read_table(OneByte(input.as_bytes()), schema(), true).unwrap();
+        assert_eq!(t.value(0, 1), Value::Text("Zürich".into()));
+        assert_eq!(t.n_rows(), 1);
     }
 }

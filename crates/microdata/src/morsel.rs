@@ -1,14 +1,10 @@
-//! Morsel-driven, hash-partitioned parallel group-by executor.
+//! Morsel-driven, hash-partitioned parallel group-by executor over row
+//! ranges of one table.
 //!
-//! The PR 5 chunked group-by assigned one table chunk per scoped thread and
-//! merged the per-chunk group tables on the calling thread. BENCH_5 showed
-//! the merge dominating: every thread's output is re-keyed and re-scattered
-//! serially, so adding threads made 1M–10M row group-bys *slower*. This
-//! module replaces that design with the two-phase scheme used by
-//! morsel-driven engines:
+//! Two phases, as in morsel-driven engines:
 //!
 //! 1. **Partition.** Workers pull fixed-size row-range *morsels* from a
-//!    shared atomic cursor — no static chunk-per-thread assignment, so a
+//!    shared atomic cursor — no static range-per-thread assignment, so a
 //!    slow worker never strands work. Each row's key is reduced to either a
 //!    dense fused code (when the product of per-column domains fits
 //!    [`DENSE_CAP`]) or a seeded multiply-shift hash, and the row is written
@@ -30,20 +26,16 @@
 //! size — the differential oracle in `tests/chunked_equivalence.rs` pins
 //! this.
 //!
-//! Fault isolation keeps the PR 4 contract: each morsel runs under
-//! `catch_unwind`; a panicking morsel's partial buffer writes are rolled
-//! back and the morsel re-runs serially after the parallel phase (a second
-//! panic propagates). Phases 2 and 3 inherit the same contract from
-//! [`chunk_parallel_map`].
+//! Fault isolation: each morsel runs under `catch_unwind`; a panicking
+//! morsel's partial buffer writes are rolled back and the morsel re-runs
+//! serially after the parallel phase (a second panic propagates). Phases 2
+//! and 3 inherit the same contract from [`parallel_map`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::bitmap::Bitmap;
-use crate::chunked::{chunk_parallel_map, ChunkedTable};
-use crate::column::Column;
 use crate::hash::{fmix64, mix64, FxHashMap, KEY_HASH_SEED};
 
 /// Upper bound on the product of per-column key domains for the dense radix
@@ -62,7 +54,7 @@ pub const DEFAULT_MORSEL_ROWS: usize = 16_384;
 /// core" via [`std::thread::available_parallelism`] (1 if the parallelism
 /// cannot be queried); any other value is clamped to the available
 /// parallelism. Every `threads` parameter in the workspace — CLI
-/// `--threads`, `Tuning::threads`, the chunked operators — is resolved
+/// `--threads`, `Tuning::threads`, the morsel executor — is resolved
 /// through this function so `0` and oversubscribed requests behave
 /// identically everywhere.
 ///
@@ -96,9 +88,9 @@ pub struct PhaseTimings {
 
 /// A source of per-row grouping keys for the morsel executor.
 ///
-/// The executor is generic over *where* keys come from — chunked tables
-/// ([`ChunkedKeyKernel`]), the evaluator's mapped per-node code columns, or
-/// test harnesses that inject faults. Implementations must be deterministic:
+/// The executor is generic over *where* keys come from — dense code columns
+/// of one table ([`CodeKeyKernel`], which the evaluator feeds its mapped
+/// per-node codes) or test harnesses that inject faults. Implementations must be deterministic:
 /// the same row must always produce the same key, and `rows_equal` must be
 /// the exact key-equality relation (hash collisions across unequal rows are
 /// handled by the executor; disagreement between `fill_*` on equal rows is
@@ -229,9 +221,9 @@ where
     timings.partition = clock.elapsed();
 
     // Phase 2: per-partition local group tables, partitions spread across
-    // workers with the same fault-isolation contract as the chunk layer.
+    // workers with the same fault-isolation contract as phase 1.
     let clock = Instant::now();
-    let locals = chunk_parallel_map(p_count, threads, |p| build(&parts[p]));
+    let locals = parallel_map(p_count, threads, |p| build(&parts[p]));
     timings.build = clock.elapsed();
 
     // Canonical re-ordering: concatenate per-partition groups, rank them by
@@ -259,7 +251,7 @@ where
         canon[g as usize] = rank as u32;
     }
     let out: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    chunk_parallel_map(p_count, threads, |p| {
+    parallel_map(p_count, threads, |p| {
         let base = offsets[p];
         let mut i = 0usize;
         for buf in &parts[p] {
@@ -467,201 +459,126 @@ fn build_hashed<K: KeyKernel + ?Sized>(kernel: &K, entries: &[Vec<Entry<u64>>]) 
     LocalGroups { gids, first_rows }
 }
 
-/// Hash component for a missing integer cell: any fixed word distinct from
-/// the "present" encoding in expectation; collisions are resolved exactly.
-const INT_MISSING_SENTINEL: u64 = 0xc0ff_ee00_d15a_b1ed;
-
-/// Per-chunk view of one categorical key column with its chunk-local →
-/// global dictionary remap.
-struct CatChunk<'a> {
-    codes: &'a [u32],
-    validity: &'a Bitmap,
-    remap: Vec<u32>,
+/// Runs `job(0..n_jobs)` across `threads` scoped workers and returns the
+/// results in job order.
+///
+/// Workers are fault-isolated: each job runs under
+/// [`std::panic::catch_unwind`], and a job that panicked is re-run serially
+/// after the parallel phase (a second panic propagates to the caller).
+/// `AssertUnwindSafe` is sound because a panicked job's entire result is
+/// discarded and recomputed from scratch. With `threads <= 1` (or a single
+/// job) the jobs run inline on the caller's thread with no spawning and no
+/// unwind guard — the zero-overhead serial path.
+fn parallel_map<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.max(1).min(n_jobs.max(1));
+    if threads <= 1 {
+        return (0..n_jobs).map(&job).collect();
+    }
+    let slots: Vec<Option<T>> = std::thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    // Round-robin assignment: worker w owns jobs
+                    // w, w + threads, w + 2·threads, ...
+                    (w..n_jobs)
+                        .step_by(threads)
+                        .map(|j| (j, catch_unwind(AssertUnwindSafe(|| job(j))).ok()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n_jobs).collect();
+        for handle in handles {
+            for (j, result) in handle.join().expect("worker panics are caught inside") {
+                slots[j] = result;
+            }
+        }
+        slots
+    });
+    // Serial re-run for jobs that panicked keeps the result total; a
+    // deterministic panic reproduces here, on the caller's thread.
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(j, slot)| slot.unwrap_or_else(|| job(j)))
+        .collect()
 }
 
-/// Per-chunk view of one integer key column.
-struct IntChunk<'a> {
-    values: &'a [i64],
-    validity: &'a Bitmap,
-}
-
-/// One key column of a [`ChunkedKeyKernel`]. `domain` is the exclusive
-/// bound on the column's dense component (`u64::MAX` marks an integer
-/// column whose span was not measured because the product was already
-/// hopeless).
-enum KernelCol<'a> {
-    Cat {
-        chunks: Vec<CatChunk<'a>>,
-        domain: u64,
+/// One key column of a [`CodeKeyKernel`]: row `r`'s key component is a
+/// dense code below `n_codes`.
+#[derive(Debug, Clone, Copy)]
+pub enum CodeColumn<'a> {
+    /// Component `map[base[r]]` — a code map (the evaluator's
+    /// generalization map of one level) fused into the key read, never
+    /// materialized.
+    Mapped {
+        /// Ground-level dense codes, one per row.
+        base: &'a [u32],
+        /// Ground code → mapped code.
+        map: &'a [u32],
+        /// Exclusive bound on mapped codes.
+        n_codes: u32,
     },
-    Int {
-        chunks: Vec<IntChunk<'a>>,
-        min: i64,
-        domain: u64,
+    /// Component `codes[r]`.
+    Plain {
+        /// Dense codes, one per row.
+        codes: &'a [u32],
+        /// Exclusive bound on the codes.
+        n_codes: u32,
     },
 }
 
-/// [`KeyKernel`] over the key columns of a [`ChunkedTable`]: categorical
-/// codes are remapped through the merged global dictionaries, integer
-/// columns are keyed by value, and missing compares equal to missing.
-pub struct ChunkedKeyKernel<'a> {
+impl CodeColumn<'_> {
+    #[inline]
+    fn component(&self, row: usize) -> u32 {
+        match self {
+            CodeColumn::Mapped { base, map, .. } => map[base[row] as usize],
+            CodeColumn::Plain { codes, .. } => codes[row],
+        }
+    }
+
+    fn n_codes(&self) -> u32 {
+        match self {
+            CodeColumn::Mapped { n_codes, .. } | CodeColumn::Plain { n_codes, .. } => *n_codes,
+        }
+    }
+}
+
+/// [`KeyKernel`] over dense code columns of one table, read from
+/// whole-table slices by row range. Every component is already a dense
+/// code, so the dense fused-key path covers any column-domain product under
+/// [`DENSE_CAP`]; wider keys fall back to the seeded hash with exact
+/// per-component verification.
+#[derive(Debug, Clone)]
+pub struct CodeKeyKernel<'a> {
     n_rows: usize,
-    /// Global start row of each chunk (ascending; empty chunks repeat).
-    starts: Vec<usize>,
-    lens: Vec<usize>,
-    cols: Vec<KernelCol<'a>>,
+    cols: Vec<CodeColumn<'a>>,
     product: Option<u32>,
 }
 
-impl<'a> ChunkedKeyKernel<'a> {
-    /// Builds the kernel for `chunked` grouped by the columns in `by`.
-    /// Dictionary merging is serial (it already is in the chunk layer);
-    /// the integer min/max domain scan parallelizes over chunks with
-    /// `threads` workers.
-    pub fn new(chunked: &'a ChunkedTable, by: &[usize], threads: usize) -> ChunkedKeyKernel<'a> {
-        let mut starts = Vec::with_capacity(chunked.n_chunks());
-        let mut lens = Vec::with_capacity(chunked.n_chunks());
-        let mut offset = 0usize;
-        for chunk in chunked.chunks() {
-            starts.push(offset);
-            lens.push(chunk.n_rows());
-            offset += chunk.n_rows();
-        }
+impl<'a> CodeKeyKernel<'a> {
+    /// A kernel keying `n_rows` rows on `cols`, in order; every column's
+    /// slices cover all `n_rows` rows.
+    pub fn new(n_rows: usize, cols: Vec<CodeColumn<'a>>) -> CodeKeyKernel<'a> {
         let mut running: u64 = 1;
-        let mut cols = Vec::with_capacity(by.len());
-        for &col in by {
-            match chunked.merge_column_dictionaries(col) {
-                Some(remaps) => {
-                    let global_len = remaps
-                        .iter()
-                        .flat_map(|remap| remap.iter().copied())
-                        .max()
-                        .map_or(0, |m| u64::from(m) + 1);
-                    // Component 0 is reserved for missing cells.
-                    let domain = global_len + 1;
-                    let chunks = chunked
-                        .chunks()
-                        .iter()
-                        .zip(remaps)
-                        .map(|(chunk, remap)| {
-                            let Column::Cat(c) = chunk.column(col) else {
-                                unreachable!("dictionary merge only succeeds on cat columns");
-                            };
-                            CatChunk {
-                                codes: c.raw_codes(),
-                                validity: c.validity(),
-                                remap,
-                            }
-                        })
-                        .collect();
-                    running = running.saturating_mul(domain);
-                    cols.push(KernelCol::Cat { chunks, domain });
-                }
-                None => {
-                    let chunks: Vec<IntChunk<'a>> = chunked
-                        .chunks()
-                        .iter()
-                        .map(|chunk| {
-                            let Column::Int(c) = chunk.column(col) else {
-                                unreachable!("non-cat key columns are integers");
-                            };
-                            IntChunk {
-                                values: c.raw_values(),
-                                validity: c.validity(),
-                            }
-                        })
-                        .collect();
-                    let (min, domain) = if running <= DENSE_CAP {
-                        int_domain(&chunks, threads)
-                    } else {
-                        (0, u64::MAX)
-                    };
-                    running = running.saturating_mul(domain);
-                    cols.push(KernelCol::Int {
-                        chunks,
-                        min,
-                        domain,
-                    });
-                }
-            }
+        for col in &cols {
+            running = running.saturating_mul(u64::from(col.n_codes()).max(1));
         }
         let product = (running <= DENSE_CAP).then_some(running.max(1) as u32);
-        ChunkedKeyKernel {
-            n_rows: chunked.n_rows(),
-            starts,
-            lens,
+        CodeKeyKernel {
+            n_rows,
             cols,
             product,
         }
     }
-
-    /// Invokes `segment(chunk, local_lo, local_hi, out_offset)` for each
-    /// chunk-aligned segment of the global row range `start..start + len`.
-    fn for_segments(
-        &self,
-        start: usize,
-        len: usize,
-        mut segment: impl FnMut(usize, usize, usize, usize),
-    ) {
-        let end = start + len;
-        let mut row = start;
-        let mut out_offset = 0usize;
-        // Last chunk whose start is <= `row`; empty chunks are skipped by
-        // the length check in the loop.
-        let mut c = self.starts.partition_point(|&s| s <= row).saturating_sub(1);
-        while row < end {
-            let lo = row - self.starts[c];
-            if lo >= self.lens[c] {
-                c += 1;
-                continue;
-            }
-            let hi = self.lens[c].min(end - self.starts[c]);
-            segment(c, lo, hi, out_offset);
-            out_offset += hi - lo;
-            row = self.starts[c] + hi;
-            c += 1;
-        }
-    }
-
-    /// Chunk index and chunk-local row of a global row index.
-    fn locate(&self, row: usize) -> (usize, usize) {
-        let c = self.starts.partition_point(|&s| s <= row) - 1;
-        (c, row - self.starts[c])
-    }
 }
 
-/// Parallel min/max scan of the present values of one integer column,
-/// returning `(min, domain)` where `domain = span + 2` reserves component 0
-/// for missing cells. An all-missing column gets domain 1.
-fn int_domain(chunks: &[IntChunk<'_>], threads: usize) -> (i64, u64) {
-    let ranges = chunk_parallel_map(chunks.len(), threads, |c| {
-        let chunk = &chunks[c];
-        let mut bounds: Option<(i64, i64)> = None;
-        for (i, &v) in chunk.values.iter().enumerate() {
-            if chunk.validity.get(i) {
-                bounds = Some(match bounds {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
-        }
-        bounds
-    });
-    match ranges
-        .into_iter()
-        .flatten()
-        .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
-    {
-        None => (0, 1),
-        Some((lo, hi)) => {
-            // hi - lo fits u64 even across the full i64 range.
-            let span = hi.wrapping_sub(lo) as u64;
-            (lo, span.saturating_add(2))
-        }
-    }
-}
-
-impl KeyKernel for ChunkedKeyKernel<'_> {
+impl KeyKernel for CodeKeyKernel<'_> {
     fn n_rows(&self) -> usize {
         self.n_rows
     }
@@ -672,76 +589,19 @@ impl KeyKernel for ChunkedKeyKernel<'_> {
 
     fn fill_dense(&self, start: usize, out: &mut [u32]) {
         out.fill(0);
-        let len = out.len();
         for col in &self.cols {
-            match col {
-                KernelCol::Cat { chunks, domain } => {
-                    let d = *domain as u32;
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.remap[chunk.codes[r] as usize] + 1
-                            } else {
-                                0
-                            };
-                            *slot = *slot * d + comp;
-                        }
-                    });
-                }
-                KernelCol::Int {
-                    chunks,
-                    min,
-                    domain,
-                } => {
-                    let d = *domain as u32;
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.values[r].wrapping_sub(*min) as u32 + 1
-                            } else {
-                                0
-                            };
-                            *slot = *slot * d + comp;
-                        }
-                    });
-                }
+            let d = col.n_codes().max(1);
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = *slot * d + col.component(start + i);
             }
         }
     }
 
     fn fill_hashed(&self, start: usize, out: &mut [u64]) {
         out.fill(KEY_HASH_SEED);
-        let len = out.len();
         for col in &self.cols {
-            match col {
-                KernelCol::Cat { chunks, .. } => {
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                u64::from(chunk.remap[chunk.codes[r] as usize]) + 1
-                            } else {
-                                0
-                            };
-                            *slot = mix64(*slot, comp);
-                        }
-                    });
-                }
-                KernelCol::Int { chunks, .. } => {
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.values[r] as u64
-                            } else {
-                                INT_MISSING_SENTINEL
-                            };
-                            *slot = mix64(*slot, comp);
-                        }
-                    });
-                }
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = mix64(*slot, u64::from(col.component(start + i)));
             }
         }
         for slot in out.iter_mut() {
@@ -750,26 +610,9 @@ impl KeyKernel for ChunkedKeyKernel<'_> {
     }
 
     fn rows_equal(&self, a: usize, b: usize) -> bool {
-        let (ca, ra) = self.locate(a);
-        let (cb, rb) = self.locate(b);
-        self.cols.iter().all(|col| match col {
-            KernelCol::Cat { chunks, .. } => {
-                let (x, y) = (&chunks[ca], &chunks[cb]);
-                match (x.validity.get(ra), y.validity.get(rb)) {
-                    (true, true) => x.remap[x.codes[ra] as usize] == y.remap[y.codes[rb] as usize],
-                    (false, false) => true,
-                    _ => false,
-                }
-            }
-            KernelCol::Int { chunks, .. } => {
-                let (x, y) = (&chunks[ca], &chunks[cb]);
-                match (x.validity.get(ra), y.validity.get(rb)) {
-                    (true, true) => x.values[ra] == y.values[rb],
-                    (false, false) => true,
-                    _ => false,
-                }
-            }
-        })
+        self.cols
+            .iter()
+            .all(|col| col.component(a) == col.component(b))
     }
 }
 
@@ -779,6 +622,7 @@ mod tests {
     use crate::builder::table_from_str_rows;
     use crate::groupby::GroupBy;
     use crate::schema::{Attribute, Schema};
+    use crate::table::Table;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -789,7 +633,7 @@ mod tests {
         .unwrap()
     }
 
-    fn sample() -> crate::table::Table {
+    fn sample() -> Table {
         table_from_str_rows(
             schema(),
             &[
@@ -809,26 +653,62 @@ mod tests {
         .unwrap()
     }
 
+    /// Dense codes of `by`'s columns, owned so kernels can borrow them.
+    fn key_codes(t: &Table, by: &[usize]) -> Vec<(Vec<u32>, u32)> {
+        by.iter().map(|&c| t.column(c).dense_codes()).collect()
+    }
+
+    fn plain(codes: &[(Vec<u32>, u32)]) -> Vec<CodeColumn<'_>> {
+        codes
+            .iter()
+            .map(|(codes, n_codes)| CodeColumn::Plain {
+                codes,
+                n_codes: *n_codes,
+            })
+            .collect()
+    }
+
     #[test]
-    fn chunked_kernel_matches_serial_for_all_morsels_and_threads() {
+    fn code_kernel_matches_serial_for_all_morsels_and_threads() {
         let t = sample();
         let serial = GroupBy::compute(&t, &[0, 1]);
-        for chunk_rows in [1, 3, 4096] {
-            let chunked = ChunkedTable::from_table(&t, chunk_rows);
-            let kernel = ChunkedKeyKernel::new(&chunked, &[0, 1], 2);
-            for threads in [1, 2, 8] {
-                for morsel_rows in [1, 2, 7, 4096] {
-                    let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
-                    assert_eq!(assignment.as_slice(), serial.assignments());
-                    assert_eq!(n_groups as usize, serial.n_groups());
-                }
+        let codes = key_codes(&t, &[0, 1]);
+        let kernel = CodeKeyKernel::new(t.n_rows(), plain(&codes));
+        for threads in [1, 2, 8] {
+            for morsel_rows in [1, 2, 7, 4096] {
+                let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
+                assert_eq!(assignment.as_slice(), serial.assignments());
+                assert_eq!(n_groups as usize, serial.n_groups());
             }
+        }
+    }
+
+    #[test]
+    fn mapped_column_groups_like_its_materialized_codes() {
+        // Map X's codes pairwise together: x0,x1 -> 0 and x2,x3 -> 1.
+        let t = sample();
+        let (base, n_codes) = t.column(0).dense_codes();
+        let map: Vec<u32> = (0..n_codes).map(|c| c / 2).collect();
+        let materialized: Vec<u32> = base.iter().map(|&c| map[c as usize]).collect();
+        let serial = GroupBy::from_code_slices(t.n_rows(), [(&materialized[..], 2)], vec![0]);
+        let kernel = CodeKeyKernel::new(
+            t.n_rows(),
+            vec![CodeColumn::Mapped {
+                base: &base,
+                map: &map,
+                n_codes: 2,
+            }],
+        );
+        for threads in [1, 2, 8] {
+            let (assignment, n_groups) = group_codes(&kernel, threads, 3);
+            assert_eq!(assignment.as_slice(), serial.assignments());
+            assert_eq!(n_groups as usize, serial.n_groups());
         }
     }
 
     /// Forcing the hashed path (via a kernel whose dense product is hidden)
     /// must produce the same canonical assignment as the dense path.
-    struct HashOnly<'a>(ChunkedKeyKernel<'a>);
+    struct HashOnly<'a>(CodeKeyKernel<'a>);
 
     impl KeyKernel for HashOnly<'_> {
         fn n_rows(&self) -> usize {
@@ -852,8 +732,8 @@ mod tests {
     fn hashed_path_matches_dense_path() {
         let t = sample();
         let serial = GroupBy::compute(&t, &[0, 1]);
-        let chunked = ChunkedTable::from_table(&t, 3);
-        let kernel = HashOnly(ChunkedKeyKernel::new(&chunked, &[0, 1], 2));
+        let codes = key_codes(&t, &[0, 1]);
+        let kernel = HashOnly(CodeKeyKernel::new(t.n_rows(), plain(&codes)));
         for threads in [1, 2, 8] {
             for morsel_rows in [1, 3, 4096] {
                 let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
@@ -866,8 +746,7 @@ mod tests {
     #[test]
     fn empty_by_produces_one_group() {
         let t = sample();
-        let chunked = ChunkedTable::from_table(&t, 4);
-        let kernel = ChunkedKeyKernel::new(&chunked, &[], 2);
+        let kernel = CodeKeyKernel::new(t.n_rows(), Vec::new());
         let (assignment, n_groups) = group_codes(&kernel, 4, 3);
         assert_eq!(n_groups, 1);
         assert!(assignment.iter().all(|&g| g == 0));
@@ -876,11 +755,46 @@ mod tests {
     #[test]
     fn empty_table_produces_no_groups() {
         let t = table_from_str_rows(schema(), &[]).unwrap();
-        let chunked = ChunkedTable::from_table(&t, 4);
-        let kernel = ChunkedKeyKernel::new(&chunked, &[0, 1], 2);
+        let codes = key_codes(&t, &[0, 1]);
+        let kernel = CodeKeyKernel::new(0, plain(&codes));
         let (assignment, n_groups) = group_codes(&kernel, 4, 3);
         assert!(assignment.is_empty());
         assert_eq!(n_groups, 0);
+    }
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let results = parallel_map(17, 4, |j| j * j);
+        assert_eq!(results, (0..17).map(|j| j * j).collect::<Vec<_>>());
+        // Degenerate thread counts clamp.
+        assert_eq!(parallel_map(3, 0, |j| j), vec![0, 1, 2]);
+        assert!(parallel_map(0, 8, |j| j).is_empty());
+    }
+
+    #[test]
+    fn panicked_job_is_rerun_serially() {
+        // The first attempt at job 2 panics; the serial re-run succeeds,
+        // so the caller still sees a complete, ordered result.
+        let attempts = AtomicUsize::new(0);
+        let results = parallel_map(5, 2, |j| {
+            if j == 2 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("injected job failure");
+            }
+            j + 10
+        });
+        assert_eq!(results, vec![10, 11, 12, 13, 14]);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "job 2 ran twice");
+    }
+
+    #[test]
+    #[should_panic(expected = "injected job failure")]
+    fn deterministic_panic_propagates_from_serial_rerun() {
+        parallel_map(3, 2, |j| {
+            if j == 1 {
+                panic!("injected job failure");
+            }
+            j
+        });
     }
 
     #[test]

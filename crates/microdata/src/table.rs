@@ -170,11 +170,24 @@ impl Table {
 
     /// Table with identifier attributes removed — the first masking step the
     /// paper prescribes ("the identifier attributes are completely removed").
-    pub fn drop_identifiers(&self) -> Table {
+    /// Consumes the table: the kept columns move, nothing is copied.
+    pub fn drop_identifiers(self) -> Table {
         let keep: Vec<usize> = (0..self.schema.len())
             .filter(|&i| self.schema.attribute(i).role() != Role::Identifier)
             .collect();
-        self.project(&keep).expect("indices are in range")
+        let schema = self.schema.project(&keep).expect("indices are in range");
+        let columns = self
+            .columns
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| keep.contains(i))
+            .map(|(_, column)| column)
+            .collect();
+        Table {
+            schema,
+            columns,
+            n_rows: self.n_rows,
+        }
     }
 
     /// Table with column `index` replaced by `column`.

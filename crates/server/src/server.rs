@@ -554,29 +554,44 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         }
         let response = dispatch(state, id, &request, arrival, watch.as_ref());
         state.requests_served.fetch_add(1, Ordering::Relaxed);
-        // Write-response faults: drop closes without answering, truncate
-        // tears the frame mid-payload, delay stalls the write.
-        match state.fault(Site::WriteResponse, &op) {
-            Some(Action::Drop) | Some(Action::Panic) => return,
-            Some(Action::Truncate) => {
-                let payload = response.to_json();
-                let bytes = payload.as_bytes();
-                let _ = writer.write_all(&(bytes.len() as u32).to_be_bytes());
-                let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-                let _ = writer.flush();
-                return;
-            }
-            Some(Action::DelayMs(delay)) => thread::sleep(Duration::from_millis(delay)),
-            None => {}
-        }
-        if write_frame(&mut writer, &response).is_err() {
+        let delivered = write_response(state, &op, &mut writer, &response);
+        // The shutdown op answers its own request, then trips the token and
+        // closes. The reply goes out first: the process may exit as soon as
+        // the token is cancelled.
+        if op == "shutdown" {
+            state.shutdown.cancel();
+            wake_acceptor(state.addr);
             return;
         }
-        // The shutdown op answers its own request, then closes.
-        if op == "shutdown" {
+        if !delivered {
             return;
         }
     }
+}
+
+/// Writes one response frame, applying any write-response fault: drop
+/// closes without answering, truncate tears the frame mid-payload, delay
+/// stalls the write. Returns whether the connection stays usable.
+fn write_response<W: Write>(
+    state: &ServerState,
+    op: &str,
+    writer: &mut W,
+    response: &JsonValue,
+) -> bool {
+    match state.fault(Site::WriteResponse, op) {
+        Some(Action::Drop) | Some(Action::Panic) => return false,
+        Some(Action::Truncate) => {
+            let payload = response.to_json();
+            let bytes = payload.as_bytes();
+            let _ = writer.write_all(&(bytes.len() as u32).to_be_bytes());
+            let _ = writer.write_all(&bytes[..bytes.len() / 2]);
+            let _ = writer.flush();
+            return false;
+        }
+        Some(Action::DelayMs(delay)) => thread::sleep(Duration::from_millis(delay)),
+        None => {}
+    }
+    write_frame(writer, response).is_ok()
 }
 
 /// Routes one request to its op handler, wrapping admission, per-request
@@ -599,9 +614,9 @@ fn dispatch(
             Ok(result) => ok_response(id, result),
             Err((code, message)) => error_response(id, code, &message),
         },
+        // The connection loop trips the shutdown token once this reply is
+        // written.
         "shutdown" => {
-            state.shutdown.cancel();
-            wake_acceptor(state.addr);
             let mut result = JsonValue::object();
             result.set("stopping", JsonValue::Bool(true));
             ok_response(id, result)

@@ -318,3 +318,47 @@ fn pipelined_requests_answer_in_order() {
         assert!(response.require("ok").unwrap().as_bool().unwrap());
     }
 }
+
+/// The `shutdown` reply reaches the client before the process exits: with
+/// the reply write stalled by an injected delay, the binary must still
+/// answer `stopping: true` and then exit 0. Tripping the shutdown token
+/// before the write let `main` return first and the client saw EOF.
+#[test]
+fn shutdown_reply_is_written_before_the_process_exits() {
+    let dir = std::env::temp_dir().join(format!("psens-shutdown-reply-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr_file = dir.join("server.addr");
+    let _ = std::fs::remove_file(&addr_file);
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_psens-server"))
+        .args(["--listen", "127.0.0.1:0", "--enable-inject", "--addr-file"])
+        .arg(&addr_file)
+        .env(
+            "PSENS_FAULTS",
+            r#"{"seed":1,"rules":[{"site":"write_response","op":"shutdown","action":"delay_ms","ms":300}]}"#,
+        )
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn psens-server");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let addr = loop {
+        if let Some(addr) = std::fs::read_to_string(&addr_file)
+            .ok()
+            .and_then(|text| text.trim().parse().ok())
+        {
+            break addr;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server never wrote its addr file"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client.call_ok("shutdown", JsonValue::object());
+    let status = child.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = reply.expect("shutdown reply");
+    assert!(result.require("stopping").unwrap().as_bool().unwrap());
+    assert!(status.success(), "psens-server exited with {status}");
+}

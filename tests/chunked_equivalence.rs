@@ -1,11 +1,9 @@
-//! Differential oracle for the chunked data layer: every chunked operator
-//! must be byte-identical to its serial counterpart, for every chunk size
-//! and thread count, and agree with the independent SQL backend.
-//!
-//! Chunked tables are exercised in both of their real-world forms — slices
-//! of a buffered table (shared dictionaries) and independently interned
-//! chunks exactly as streaming CSV ingest produces them (per-chunk
-//! dictionaries that the merge pass must unify).
+//! Differential oracle for row-range parallelism over one table: the
+//! morsel executor's group ids must be byte-identical to the serial
+//! group-by for every morsel size and thread count, survive injected worker
+//! panics, and agree with the independent SQL backend; and routing node
+//! evaluation through it (`Tuning::chunk_rows`) must not change any search
+//! verdict.
 
 use proptest::prelude::*;
 use psens::algorithms::{
@@ -13,14 +11,16 @@ use psens::algorithms::{
 };
 use psens::core::{NoopObserver, SearchBudget};
 use psens::hierarchy::QiSpace;
+use psens::microdata::{group_codes, CodeColumn, CodeKeyKernel, KeyKernel};
 use psens::prelude::*;
 use psens::sql::{execute, Catalog};
 use psens_testkit::spaces::narrow_qi_space;
 use psens_testkit::tables::{arb_narrow_row, build_narrow_table, NarrowRow};
 
-/// The chunk sizes the acceptance gate names: degenerate one-row chunks, a
-/// ragged prime, and a size larger than any generated table (single chunk).
-const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
+/// The morsel sizes the acceptance gate names: one-row morsels (maximum
+/// cursor contention), a ragged prime, and a size larger than any generated
+/// table (a single morsel, so one worker does everything).
+const MORSEL_ROWS: [usize; 3] = [1, 7, 4096];
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// The narrow testkit schema: categorical key X, integer key A, categorical
@@ -36,108 +36,56 @@ fn build_table(rows: &[Row]) -> Table {
     build_narrow_table(rows)
 }
 
-/// The two ways chunked tables arise: sliced from a buffered table (chunks
-/// share the source dictionaries) and built chunk by chunk with independent
-/// interning, as `csv::read_chunked` produces them.
-fn chunked_variants(t: &Table, rows: &[Row], chunk_rows: usize) -> [ChunkedTable; 2] {
-    let sliced = ChunkedTable::from_table(t, chunk_rows);
-    let mut interned = ChunkedTable::new(t.schema().clone(), chunk_rows);
-    for slab in rows.chunks(chunk_rows.max(1)) {
-        interned.push_chunk(build_table(slab));
-    }
-    [sliced, interned]
+/// Dense codes of `by`'s columns, owned so kernels can borrow them.
+fn key_codes(t: &Table, by: &[usize]) -> Vec<(Vec<u32>, u32)> {
+    by.iter().map(|&c| t.column(c).dense_codes()).collect()
+}
+
+/// The single-table key kernel over those codes.
+fn kernel<'a>(t: &Table, codes: &'a [(Vec<u32>, u32)]) -> CodeKeyKernel<'a> {
+    let cols = codes
+        .iter()
+        .map(|(codes, n_codes)| CodeColumn::Plain {
+            codes,
+            n_codes: *n_codes,
+        })
+        .collect();
+    CodeKeyKernel::new(t.n_rows(), cols)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Group ids, sizes, and representatives: `compute_chunked` must equal
-    /// the serial grouping for every chunk size × thread count × chunk
-    /// provenance, on every key subset.
+    /// Morsel-executor differential oracle: for every morsel size × thread
+    /// count, the executor's group ids, sizes, and representatives must be
+    /// byte-identical to the serial group-by — the canonical re-ordering
+    /// pass makes first-appearance ids independent of how rows were
+    /// partitioned.
     #[test]
-    fn chunked_groupby_equals_serial(
+    fn morsel_executor_equals_serial(
         rows in prop::collection::vec(arb_row(), 1..80),
     ) {
         let t = build_table(&rows);
         let by_sets: &[&[usize]] = &[&[0, 1], &[1, 0], &[0], &[1], &[2], &[]];
         for &by in by_sets {
             let serial = GroupBy::compute(&t, by);
-            for chunk_rows in CHUNK_SIZES {
-                for chunked in chunked_variants(&t, &rows, chunk_rows) {
-                    for threads in THREADS {
-                        let gb = GroupBy::compute_chunked(&chunked, by, threads);
-                        let setting = format!(
-                            "by={by:?} chunk_rows={chunk_rows} threads={threads}"
-                        );
-                        prop_assert_eq!(
-                            gb.assignments(), serial.assignments(),
-                            "assignments: {}", &setting
-                        );
-                        prop_assert_eq!(gb.sizes(), serial.sizes(), "sizes: {}", &setting);
-                        prop_assert_eq!(
-                            gb.representatives(), serial.representatives(),
-                            "representatives: {}", &setting
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Frequencies and the Condition 1/2 precomputation: `of_chunked` /
-    /// `compute_chunked` reports must equal the serial structs field by
-    /// field (both derive `PartialEq`).
-    #[test]
-    fn chunked_frequencies_and_stats_equal_serial(
-        rows in prop::collection::vec(arb_row(), 1..60),
-    ) {
-        let t = build_table(&rows);
-        let fs = FrequencySet::of(&t, &[0, 1]);
-        let cs = ConfidentialStats::compute(&t, &[2]);
-        for chunk_rows in CHUNK_SIZES {
-            for chunked in chunked_variants(&t, &rows, chunk_rows) {
-                for threads in THREADS {
-                    prop_assert_eq!(
-                        &FrequencySet::of_chunked(&chunked, &[0, 1], threads), &fs,
-                        "frequencies: chunk_rows={} threads={}", chunk_rows, threads
+            let codes = key_codes(&t, by);
+            let kernel = kernel(&t, &codes);
+            for threads in THREADS {
+                for morsel_rows in MORSEL_ROWS {
+                    let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
+                    let gb = GroupBy::from_assignment(assignment, n_groups, by.to_vec());
+                    let setting = format!(
+                        "by={by:?} threads={threads} morsel_rows={morsel_rows}"
                     );
                     prop_assert_eq!(
-                        &ConfidentialStats::compute_chunked(&chunked, &[2], threads), &cs,
-                        "confidential stats: chunk_rows={} threads={}", chunk_rows, threads
+                        gb.assignments(), serial.assignments(),
+                        "assignments: {}", &setting
                     );
-                }
-            }
-        }
-    }
-
-    /// The full p-sensitivity report — per-group verdicts, violation lists,
-    /// max_k and max_p — must not depend on chunking or thread count.
-    #[test]
-    fn chunked_p_sensitivity_report_equals_serial(
-        rows in prop::collection::vec(arb_row(), 1..60),
-        p in 1u32..4,
-        k in 1u32..4,
-    ) {
-        let t = build_table(&rows);
-        let report = check_p_sensitivity(&t, &[0, 1], &[2], p, k);
-        let maxk = max_k(&t, &[0, 1]);
-        let maxp = max_p_of_masked(&t, &[0, 1], &[2]);
-        for chunk_rows in CHUNK_SIZES {
-            for chunked in chunked_variants(&t, &rows, chunk_rows) {
-                for threads in THREADS {
-                    let setting = format!("chunk_rows={chunk_rows} threads={threads}");
+                    prop_assert_eq!(gb.sizes(), serial.sizes(), "sizes: {}", &setting);
                     prop_assert_eq!(
-                        &check_p_sensitivity_chunked(&chunked, &[0, 1], &[2], p, k, threads),
-                        &report,
-                        "report: {}", &setting
-                    );
-                    prop_assert_eq!(
-                        max_k_chunked(&chunked, &[0, 1], threads), maxk,
-                        "max_k: {}", &setting
-                    );
-                    prop_assert_eq!(
-                        max_p_of_masked_chunked(&chunked, &[0, 1], &[2], threads), maxp,
-                        "max_p: {}", &setting
+                        gb.representatives(), serial.representatives(),
+                        "representatives: {}", &setting
                     );
                 }
             }
@@ -145,11 +93,11 @@ proptest! {
     }
 
     /// Cross-backend: the SQL engine's `COUNT(*)` / `COUNT(DISTINCT S)`
-    /// per group agree with the chunked group-by and the chunked dense
-    /// codes. Missing cells are excluded — SQL NULL semantics differ from
-    /// the checker's missing-equals-missing convention by design.
+    /// per group agree with the group-by and the column's dense codes.
+    /// Missing cells are excluded — SQL NULL semantics differ from the
+    /// checker's missing-equals-missing convention by design.
     #[test]
-    fn sql_backend_agrees_with_chunked_groupby(
+    fn sql_backend_agrees_with_groupby(
         rows in prop::collection::vec((0u8..4, 0i64..4, 0u8..4), 1..60),
     ) {
         let solid: Vec<Row> = rows.iter().map(|&(x, a, s)| (x, a, false, s, false)).collect();
@@ -162,84 +110,28 @@ proptest! {
             "SELECT COUNT(DISTINCT S) FROM T GROUP BY X, A",
         )
         .unwrap();
-        for chunk_rows in CHUNK_SIZES {
-            for chunked in chunked_variants(&t, &solid, chunk_rows) {
-                for threads in THREADS {
-                    let gb = GroupBy::compute_chunked(&chunked, &[0, 1], threads);
-                    prop_assert_eq!(counts.n_rows(), gb.n_groups());
-                    let mut sql_counts: Vec<i64> = (0..counts.n_rows())
-                        .map(|r| counts.value(r, 0).as_int().unwrap())
-                        .collect();
-                    let mut native_counts: Vec<i64> =
-                        gb.sizes().iter().map(|&s| i64::from(s)).collect();
-                    sql_counts.sort_unstable();
-                    native_counts.sort_unstable();
-                    prop_assert_eq!(sql_counts, native_counts);
+        let gb = GroupBy::compute(&t, &[0, 1]);
+        prop_assert_eq!(counts.n_rows(), gb.n_groups());
+        let mut sql_counts: Vec<i64> = (0..counts.n_rows())
+            .map(|r| counts.value(r, 0).as_int().unwrap())
+            .collect();
+        let mut native_counts: Vec<i64> = gb.sizes().iter().map(|&s| i64::from(s)).collect();
+        sql_counts.sort_unstable();
+        native_counts.sort_unstable();
+        prop_assert_eq!(sql_counts, native_counts);
 
-                    let (codes, n_codes) = chunked.dense_codes(2, threads);
-                    let mut native_distinct: Vec<i64> = gb
-                        .distinct_codes_per_group(&codes, n_codes)
-                        .iter()
-                        .map(|&d| i64::from(d))
-                        .collect();
-                    let mut sql_distinct: Vec<i64> = (0..distinct.n_rows())
-                        .map(|r| distinct.value(r, 0).as_int().unwrap())
-                        .collect();
-                    native_distinct.sort_unstable();
-                    sql_distinct.sort_unstable();
-                    prop_assert_eq!(sql_distinct, native_distinct);
-                }
-            }
-        }
-    }
-}
-
-/// The morsel sizes the acceptance gate names: one-row morsels (maximum
-/// cursor contention), a ragged prime, and a size larger than any generated
-/// table (a single morsel, so one worker does everything).
-const MORSEL_ROWS: [usize; 3] = [1, 7, 4096];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Morsel-executor differential oracle: for every morsel size × thread
-    /// count × chunk provenance, the executor's group ids, sizes, and
-    /// representatives must be byte-identical to the serial group-by —
-    /// the canonical re-ordering pass makes first-appearance ids
-    /// independent of how rows were partitioned.
-    #[test]
-    fn morsel_executor_equals_serial(
-        rows in prop::collection::vec(arb_row(), 1..80),
-    ) {
-        let t = build_table(&rows);
-        let by_sets: &[&[usize]] = &[&[0, 1], &[1], &[]];
-        for &by in by_sets {
-            let serial = GroupBy::compute(&t, by);
-            for chunk_rows in CHUNK_SIZES {
-                for chunked in chunked_variants(&t, &rows, chunk_rows) {
-                    for threads in THREADS {
-                        for morsel_rows in MORSEL_ROWS {
-                            let gb = GroupBy::compute_chunked_morsels(
-                                &chunked, by, threads, morsel_rows,
-                            );
-                            let setting = format!(
-                                "by={by:?} chunk_rows={chunk_rows} \
-                                 threads={threads} morsel_rows={morsel_rows}"
-                            );
-                            prop_assert_eq!(
-                                gb.assignments(), serial.assignments(),
-                                "assignments: {}", &setting
-                            );
-                            prop_assert_eq!(gb.sizes(), serial.sizes(), "sizes: {}", &setting);
-                            prop_assert_eq!(
-                                gb.representatives(), serial.representatives(),
-                                "representatives: {}", &setting
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        let (codes, n_codes) = t.column(2).dense_codes();
+        let mut native_distinct: Vec<i64> = gb
+            .distinct_codes_per_group(&codes, n_codes)
+            .iter()
+            .map(|&d| i64::from(d))
+            .collect();
+        let mut sql_distinct: Vec<i64> = (0..distinct.n_rows())
+            .map(|r| distinct.value(r, 0).as_int().unwrap())
+            .collect();
+        native_distinct.sort_unstable();
+        sql_distinct.sort_unstable();
+        prop_assert_eq!(sql_distinct, native_distinct);
     }
 }
 
@@ -249,18 +141,17 @@ mod injected_panic {
     //! re-runs serially, still yielding the byte-identical serial answer.
 
     use super::*;
-    use psens::microdata::{group_codes, ChunkedKeyKernel, ChunkedTable, KeyKernel};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Wraps a real kernel; the first `fill_*` call panics (simulating a
     /// worker fault mid-morsel), every later call delegates.
     struct PanicOnce<'a> {
-        inner: ChunkedKeyKernel<'a>,
+        inner: CodeKeyKernel<'a>,
         fired: AtomicBool,
     }
 
     impl<'a> PanicOnce<'a> {
-        fn new(inner: ChunkedKeyKernel<'a>) -> PanicOnce<'a> {
+        fn new(inner: CodeKeyKernel<'a>) -> PanicOnce<'a> {
             PanicOnce {
                 inner,
                 fired: AtomicBool::new(false),
@@ -309,10 +200,10 @@ mod injected_panic {
             .collect();
         let t = build_table(&rows);
         let serial = GroupBy::compute(&t, &[0, 1]);
+        let codes = key_codes(&t, &[0, 1]);
         for threads in [2, 8] {
             for morsel_rows in MORSEL_ROWS {
-                let chunked = ChunkedTable::from_table(&t, 64);
-                let kernel = PanicOnce::new(ChunkedKeyKernel::new(&chunked, &[0, 1], threads));
+                let kernel = PanicOnce::new(kernel(&t, &codes));
                 let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
                 assert!(
                     kernel.fired.load(Ordering::SeqCst),
@@ -368,9 +259,10 @@ fn qi_space() -> QiSpace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// End to end: routing the node-evaluation kernel through the chunked
-    /// partition (`Tuning::chunk_rows`) must not change any search verdict —
-    /// winning node, proven height bound, or suppression count.
+    /// End to end: routing the node-evaluation kernel through the morsel
+    /// partition (`Tuning::chunk_rows` rows per morsel) must not change any
+    /// search verdict — winning node, proven height bound, or suppression
+    /// count.
     #[test]
     fn search_verdicts_survive_chunked_evaluation(
         rows in prop::collection::vec(arb_row(), 1..40),
@@ -386,7 +278,7 @@ proptest! {
         let oracle =
             pk_minimal_generalization_budgeted(&t, &qi, p, k, ts, pruning, &unlimited, &noop)
                 .unwrap();
-        for chunk_rows in CHUNK_SIZES {
+        for chunk_rows in MORSEL_ROWS {
             for threads in THREADS {
                 let tuning = Tuning { threads, cache: None, chunk_rows };
                 let outcome = pk_minimal_generalization_tuned(

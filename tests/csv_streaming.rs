@@ -1,16 +1,19 @@
-//! Totality and equivalence of the streaming CSV reader: `read_chunked`
-//! must never panic on arbitrary bytes, must error exactly when the
-//! buffered reader errors, and on success must produce the same table —
-//! for every chunk size, and even when every byte arrives in its own read
-//! (splitting quoted newlines, escaped quotes, and multi-byte UTF-8
-//! sequences across read boundaries).
+//! Totality and equivalence of the streaming CSV reader: `read_table` (and
+//! `read_table_str`, the same reader over a string's bytes) must never
+//! panic on arbitrary bytes, must error exactly when a whole-text reference
+//! errors, and on success must produce the reference table — even when
+//! every byte arrives in its own read (splitting quoted newlines, escaped
+//! quotes, and multi-byte UTF-8 sequences across read boundaries).
+//!
+//! The reference is independent of the reader under test: the whole-text
+//! record splitter `parse_records` feeding a row-by-row `TableBuilder`,
+//! with the value rules (header, arity, `?`/empty as missing, `i64`
+//! integers) written out here.
 
 use proptest::prelude::*;
-use psens::microdata::csv::{read_chunked, read_table_str};
+use psens::microdata::csv::{parse_records, read_table, read_table_str};
 use psens::prelude::*;
 use std::io::{BufRead, Cursor, Read};
-
-const CHUNK_SIZES: [usize; 4] = [1, 2, 7, 4096];
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -51,57 +54,70 @@ impl BufRead for TrickleReader<'_> {
     }
 }
 
-/// The oracle: stream and buffered reader agree on `input` — an error on
-/// both sides, or equal tables (dictionaries included) on both, whether the
-/// bytes arrive in bulk or one at a time.
-fn assert_stream_matches_buffered(
-    input: &str,
-    has_header: bool,
-    chunk_rows: usize,
-) -> Result<(), TestCaseError> {
-    let buffered = read_table_str(input, schema(), has_header);
-    let bulk = read_chunked(
-        Cursor::new(input.as_bytes()),
-        schema(),
-        has_header,
-        chunk_rows,
-    );
-    let trickled = read_chunked(
+/// The whole-text reference: `None` exactly when the input is not a valid
+/// headered (or headerless) CSV of [`schema`].
+fn reference(bytes: &[u8], has_header: bool) -> Option<Table> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    let mut records = parse_records(text).ok()?.into_iter();
+    if has_header {
+        let header = records.next()?;
+        let names: Vec<&str> = header.iter().map(|name| name.trim()).collect();
+        if names != ["Age", "City", "Illness"] {
+            return None;
+        }
+    }
+    let mut builder = TableBuilder::new(schema());
+    for record in records {
+        if record.len() != 3 {
+            return None;
+        }
+        let mut row = Vec::with_capacity(3);
+        for (i, raw) in record.iter().enumerate() {
+            let field = raw.trim();
+            row.push(if field.is_empty() || field == "?" {
+                Value::Missing
+            } else if i == 0 {
+                Value::Int(field.parse().ok()?)
+            } else {
+                Value::Text(field.to_owned())
+            });
+        }
+        builder.push_row(row).ok()?;
+    }
+    Some(builder.finish())
+}
+
+/// The oracle: the streaming reader agrees with the reference on `bytes` —
+/// an error on both sides, or equal tables (dictionaries included) on
+/// both, whether the bytes arrive in bulk, one at a time, or as a string.
+fn assert_stream_matches_reference(bytes: &[u8], has_header: bool) -> Result<(), TestCaseError> {
+    let expected = reference(bytes, has_header);
+    let bulk = read_table(Cursor::new(bytes), schema(), has_header);
+    let trickled = read_table(
         TrickleReader {
-            data: input.as_bytes(),
+            data: bytes,
             pos: 0,
         },
         schema(),
         has_header,
-        chunk_rows,
     );
-    match buffered {
-        Ok(table) => {
-            let bulk = bulk.map_err(|e| {
-                TestCaseError::fail(format!("stream errored where buffered parsed: {e}"))
-            })?;
-            prop_assert_eq!(
-                bulk.to_table(),
-                table.clone(),
-                "bulk stream diverged (chunk_rows={})",
-                chunk_rows
-            );
-            let expected_chunks = table.n_rows().div_ceil(chunk_rows.max(1));
-            prop_assert_eq!(bulk.n_chunks(), expected_chunks);
-            let trickled = trickled.map_err(|e| {
-                TestCaseError::fail(format!("trickle stream errored where buffered parsed: {e}"))
-            })?;
-            prop_assert_eq!(
-                trickled.to_table(),
-                table,
-                "trickle stream diverged (chunk_rows={})",
-                chunk_rows
-            );
-        }
-        Err(_) => {
-            prop_assert!(bulk.is_err(), "stream parsed where buffered errored");
-            prop_assert!(trickled.is_err(), "trickle parsed where buffered errored");
-        }
+    prop_assert_eq!(bulk.is_ok(), expected.is_some(), "bulk stream vs reference");
+    prop_assert_eq!(
+        trickled.is_ok(),
+        expected.is_some(),
+        "trickle stream vs reference"
+    );
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        let from_str = read_table_str(text, schema(), has_header);
+        prop_assert_eq!(
+            from_str.ok(),
+            expected.clone(),
+            "read_table_str vs reference"
+        );
+    }
+    if let Some(table) = expected {
+        prop_assert_eq!(bulk.unwrap(), table.clone(), "bulk stream diverged");
+        prop_assert_eq!(trickled.unwrap(), table, "trickle stream diverged");
     }
     Ok(())
 }
@@ -119,47 +135,24 @@ proptest! {
 
     /// Totality + agreement on arbitrary bytes: whatever the input —
     /// malformed UTF-8, unbalanced quotes, ragged records — the streaming
-    /// reader never panics and errors exactly when the buffered reader
-    /// would.
+    /// reader never panics and errors exactly when the whole-text reference
+    /// does.
     #[test]
     fn stream_and_buffered_agree_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..400),
         has_header in any::<bool>(),
-        chunk_pick in 0usize..CHUNK_SIZES.len(),
     ) {
-        let chunk_rows = CHUNK_SIZES[chunk_pick];
-        let buffered = match std::str::from_utf8(&bytes) {
-            Ok(text) => read_table_str(text, schema(), has_header),
-            // Invalid UTF-8: the buffered path fails in read_to_string.
-            Err(_) => Err(psens::microdata::Error::from(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            ))),
-        };
-        let streamed = read_chunked(Cursor::new(&bytes[..]), schema(), has_header, chunk_rows);
-        let trickled = read_chunked(
-            TrickleReader { data: &bytes, pos: 0 },
-            schema(),
-            has_header,
-            chunk_rows,
-        );
-        prop_assert_eq!(streamed.is_ok(), buffered.is_ok());
-        prop_assert_eq!(trickled.is_ok(), buffered.is_ok());
-        if let (Ok(stream), Ok(table)) = (streamed, buffered) {
-            prop_assert_eq!(stream.to_table(), table);
-        }
+        assert_stream_matches_reference(&bytes, has_header)?;
     }
 
     /// Structured CSV built from special-case-rich fields: quoted newlines
     /// and escaped quotes inside records, missing markers, signed integers
-    /// — streamed chunks must reassemble the buffered table exactly.
+    /// — the stream must build the reference table exactly.
     #[test]
     fn stream_equals_buffered_on_generated_csv(
         rows in prop::collection::vec((INT_FIELD, CAT_FIELD, CAT_FIELD), 0..30),
         has_header in any::<bool>(),
-        chunk_pick in 0usize..CHUNK_SIZES.len(),
     ) {
-        let chunk_rows = CHUNK_SIZES[chunk_pick];
         let mut text = String::new();
         if has_header {
             text.push_str("Age,City,Illness\n");
@@ -167,53 +160,44 @@ proptest! {
         for (age, city, illness) in &rows {
             text.push_str(&format!("{age},{city},{illness}\n"));
         }
-        assert_stream_matches_buffered(&text, has_header, chunk_rows)?;
+        assert_stream_matches_reference(text.as_bytes(), has_header)?;
     }
 }
 
 #[test]
 fn quoted_newlines_span_chunk_boundaries() {
-    // One-row chunks force every record onto its own chunk; the quoted
-    // fields carry the record separator itself.
+    // The trickle reader hands over one byte per read, so every quoted
+    // field carrying the record separator itself crosses a read boundary.
     let text = "Age,City,Illness\n\
                 30,\"New\nport\",\"Fl\r\nu\"\n\
                 40,\"Day,ton\",\"says \"\"hi\"\"\"\n\
                 50,Euclid,HIV\n";
-    for chunk_rows in CHUNK_SIZES {
-        assert_stream_matches_buffered(text, true, chunk_rows).unwrap();
-    }
-    let chunked = read_chunked(Cursor::new(text.as_bytes()), schema(), true, 1).unwrap();
-    assert_eq!(chunked.n_chunks(), 3);
-    assert_eq!(
-        chunked.to_table().value(0, 1),
-        Value::Text("New\nport".into())
-    );
-    assert_eq!(
-        chunked.to_table().value(1, 2),
-        Value::Text("says \"hi\"".into())
-    );
+    assert_stream_matches_reference(text.as_bytes(), true).unwrap();
+    let table = read_table(Cursor::new(text.as_bytes()), schema(), true).unwrap();
+    assert_eq!(table.n_rows(), 3);
+    assert_eq!(table.value(0, 1), Value::Text("New\nport".into()));
+    assert_eq!(table.value(1, 2), Value::Text("says \"hi\"".into()));
 }
 
 #[test]
 fn ragged_trailing_record_agrees_with_buffered() {
-    // A final record with too few fields: both readers must reject it, and
-    // one with too many likewise.
-    for text in [
-        "1,a,b\n2,c\n",
-        "1,a,b\n2\n",
-        "1,a,b\n2,c,d,e\n",
-        "1,a,b\n2,c,", // unterminated final record, short one field
-    ] {
-        assert_stream_matches_buffered(text, false, 2).unwrap();
+    // A final record with too few fields: the reader must reject it like
+    // the reference, and one with too many likewise.
+    for text in ["1,a,b\n2,c\n", "1,a,b\n2\n", "1,a,b\n2,c,d,e\n"] {
+        assert_stream_matches_reference(text.as_bytes(), false).unwrap();
+        assert!(read_table_str(text, schema(), false).is_err(), "{text:?}");
     }
+    // An unterminated final record ending in a separator has an empty
+    // (missing) last field: accepted on both sides.
+    assert_stream_matches_reference(b"1,a,b\n2,c,", false).unwrap();
     // An unterminated but complete final record parses on both sides.
-    assert_stream_matches_buffered("1,a,b\n2,c,d", false, 2).unwrap();
+    assert_stream_matches_reference(b"1,a,b\n2,c,d", false).unwrap();
 }
 
 #[test]
-fn empty_input_yields_empty_chunked_table() {
-    let chunked = read_chunked(Cursor::new(&b""[..]), schema(), false, 4).unwrap();
-    assert!(chunked.is_empty());
-    assert_eq!(chunked.n_chunks(), 0);
-    assert_eq!(chunked.to_table(), Table::empty(schema()));
+fn empty_input_yields_empty_table() {
+    let table = read_table(Cursor::new(&b""[..]), schema(), false).unwrap();
+    assert_eq!(table, Table::empty(schema()));
+    // With a header expected, empty input is an error.
+    assert!(read_table(Cursor::new(&b""[..]), schema(), true).is_err());
 }
